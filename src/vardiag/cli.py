@@ -148,6 +148,9 @@ def _chi2_rows(fitted, observed, stat_key, lags, order):
 
 def _cmd_test(args, argv) -> int:
     start = time.perf_counter()
+    if args.method == "chi2" and args.transform != "none":
+        # the chi-square degrees of freedom hold for raw residuals only
+        raise _UsageError(f"vardiag test: --transform {args.transform} needs --method mc")
     table = read_csv(args.input)
     lags = _int_list(args.lags, "--lags")
     stat_key = args.stat

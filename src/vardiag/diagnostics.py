@@ -162,6 +162,13 @@ def _q_kron_weight(rs: Autocorrelations) -> np.ndarray:
     return kron(r0_inv, r0_inv)
 
 
+def _q_weights(n: int, m: int, variant: str) -> np.ndarray:
+    """Per-lag weights of Q at lags 1..m: n (classic) or n^2 / (n - l) (modified)."""
+    if variant == "classic":
+        return np.full(m, float(n))
+    return n * n / (n - np.arange(1, m + 1, dtype=float))
+
+
 def portmanteau_q(acf: Autocovariances, m: int, variant: str = "classic",
                   form: str = "trace", mode: str = "hosking") -> float:
     """Classical multivariate portmanteau statistic through lag m.
@@ -184,7 +191,6 @@ def portmanteau_q(acf: Autocovariances, m: int, variant: str = "classic",
         raise ValueError(f"form must be one of {Q_FORMS}, got {form!r}")
     if not 1 <= m <= acf.max_lag:
         raise ValueError(f"m must be within 1..{acf.max_lag}, got {m}")
-    n = acf.n_eff
 
     if form == "trace":
         terms = _q_lag_terms(acf, m)
@@ -196,24 +202,16 @@ def portmanteau_q(acf: Autocovariances, m: int, variant: str = "classic",
             stacked = rs.values[lag].ravel()
             terms[lag - 1] = float(stacked @ weight @ stacked)
 
-    if variant == "classic":
-        weights = np.full(m, float(n))
-    else:
-        weights = n * n / (n - np.arange(1, m + 1, dtype=float))
-    return float(weights @ terms)
+    return float(_q_weights(acf.n_eff, m, variant) @ terms)
 
 
 def _assemble_block_toeplitz(values: tuple, m: int, k: int) -> np.ndarray:
-    big = np.zeros(((m + 1) * k, (m + 1) * k))
-    for i in range(m + 1):
-        big[i * k:(i + 1) * k, i * k:(i + 1) * k] = np.eye(k)
-    for lag in range(1, m + 1):
-        block = values[lag]
-        for i in range(m + 1 - lag):
-            j = i + lag
-            big[i * k:(i + 1) * k, j * k:(j + 1) * k] = block
-            big[j * k:(j + 1) * k, i * k:(i + 1) * k] = block.T
-    return big
+    # Block (i, j) is entry (j - i) mod (2m + 1) of [I, R_1..R_m, R_m'..R_1'].
+    blocks = np.stack([np.eye(k), *values[1:m + 1],
+                       *(r.T for r in reversed(values[1:m + 1]))])
+    lag = np.arange(m + 1)
+    big = blocks[(lag[None, :] - lag[:, None]) % (2 * m + 1)]
+    return big.transpose(0, 2, 1, 3).reshape((m + 1) * k, (m + 1) * k)
 
 
 def block_toeplitz(racfs: Autocorrelations, m: int) -> np.ndarray:
@@ -229,31 +227,6 @@ def block_toeplitz(racfs: Autocorrelations, m: int) -> np.ndarray:
     if m < 0 or m > racfs.max_lag:
         raise ValueError(f"m must be within 0..{racfs.max_lag}, got {m}")
     return _assemble_block_toeplitz(racfs.values, m, racfs.k)
-
-
-def _block_toeplitz_any(racfs: Autocorrelations, m: int) -> np.ndarray:
-    # Experiment hook: block-Toeplitz assembly for any standardization mode.
-    # The li_mcleod variant of the determinant statistic is not a usable test
-    # when the innovation covariance is non-diagonal, so only tests use this.
-    if racfs.mode != "chitturi":
-        return _assemble_block_toeplitz(racfs.values, m, racfs.k)
-    # Chitturi matrices are not symmetric in lag: the negative-lag block is
-    # G_l' G0^{-1}, not the transpose of the positive-lag block.
-    k = racfs.k
-    gamma = racfs.acov.values
-    g0_inv = spd_inverse(gamma[0])
-    big = np.zeros(((m + 1) * k, (m + 1) * k))
-    for i in range(m + 1):
-        for j in range(m + 1):
-            lag = j - i
-            if lag == 0:
-                block = np.eye(k)
-            elif lag > 0:
-                block = racfs.values[lag]
-            else:
-                block = gamma[-lag].T @ g0_inv
-            big[i * k:(i + 1) * k, j * k:(j + 1) * k] = block
-    return big
 
 
 def gv_stat(racfs: Autocorrelations, m: int, n_eff: int) -> float:
@@ -274,33 +247,18 @@ def gv_stat(racfs: Autocorrelations, m: int, n_eff: int) -> float:
 def gv_decompose(racfs: Autocorrelations, m: int) -> GvDecomposition:
     """Factor the generalized variance into per-lag predictor contributions.
 
-    For each lag l, the order-(l-1) block-Toeplitz matrix is inverted against
-    the strip of lag 1..l autocorrelations, giving the innovation covariance
-    of the order-l linear predictor; its determinant is one factor of the
-    total determinant.  Raises :class:`NotPositiveDefinite` if any leading
-    block-Toeplitz matrix fails to be positive definite.
+    The leading blocks of the Cholesky factor of the order-m block-Toeplitz
+    matrix T_m factor every T_l, so the squared pivots of block l multiply to
+    det(T_l) / det(T_{l-1}), the order-l predictor's step determinant.  Raises
+    :class:`NotPositiveDefinite` exactly when ``gv_stat`` at lag m is ``+inf``.
     """
     if racfs.mode != "hosking":
         raise ValueError("gv_decompose requires hosking-standardized autocorrelations")
     if not 1 <= m <= racfs.max_lag:
         raise ValueError(f"m must be within 1..{racfs.max_lag}, got {m}")
-    k = racfs.k
-    eye = np.eye(k)
-    eta_sq = []
-    step_dets = []
-    for lag in range(1, m + 1):
-        prev = _assemble_block_toeplitz(racfs.values, lag - 1, k)
-        strip = np.hstack(racfs.values[1:lag + 1])
-        lower = cholesky_lower(prev)
-        solved = np.linalg.solve(lower.T, np.linalg.solve(lower, strip.T))
-        error_cov = eye - strip @ solved
-        det = float(np.linalg.det(error_cov))
-        if det <= 0.0:
-            raise NotPositiveDefinite(
-                f"order-{lag} predictor error covariance is not positive definite")
-        step_dets.append(det)
-        eta_sq.append(1.0 - det)
-    return GvDecomposition(tuple(eta_sq), tuple(step_dets))
+    pivots_sq = np.diag(cholesky_lower(block_toeplitz(racfs, m))) ** 2
+    step_dets = pivots_sq.reshape(m + 1, racfs.k).prod(axis=1)[1:]
+    return GvDecomposition(tuple((1.0 - step_dets).tolist()), tuple(step_dets.tolist()))
 
 
 def residual_transform(residuals, kind: str = "identity") -> np.ndarray:

@@ -24,10 +24,12 @@ from ._version import __version__
 from .diagnostics import (
     TRANSFORMS,
     racf,
+    gv_decompose,
     gv_stat,
     residual_transform,
     sample_acov,
     _q_lag_terms,
+    _q_weights,
 )
 from .errors import (
     DegenerateResiduals,
@@ -177,6 +179,16 @@ def margin_of_error(p: float, n_reps: int) -> float:
     return 1.96 * math.sqrt(p * (1.0 - p) / n_reps)
 
 
+def _gv_row(rs, lags, n_eff: int) -> np.ndarray:
+    """gv at each lag from one factor; lag by lag only if the largest is not PD."""
+    try:
+        step_dets = gv_decompose(rs, max(lags)).step_dets
+    except NotPositiveDefinite:
+        return np.array([gv_stat(rs, lag, n_eff) for lag in lags])
+    partial = -n_eff * np.cumsum(np.log(step_dets))
+    return partial[np.asarray(lags) - 1]
+
+
 def evaluate_statistics(residuals, statistics, lags, transform: str = "identity") -> np.ndarray:
     """Statistic values for every (statistic, lag) pair, one row per statistic.
 
@@ -191,19 +203,12 @@ def evaluate_statistics(residuals, statistics, lags, transform: str = "identity"
     q_terms = None
     for row, stat in enumerate(statistics):
         if stat == "gv":
-            rs = racf(acf, "hosking")
-            for col, lag in enumerate(lags):
-                out[row, col] = gv_stat(rs, lag, n_eff)
+            out[row] = _gv_row(racf(acf, "hosking"), lags, n_eff)
         else:
             if q_terms is None:
                 q_terms = _q_lag_terms(acf, max_lag)
-            if stat == "q_classic":
-                weights = np.full(max_lag, float(n_eff))
-            else:
-                weights = n_eff * n_eff / (n_eff - np.arange(1, max_lag + 1, dtype=float))
-            partial = np.cumsum(weights * q_terms)
-            for col, lag in enumerate(lags):
-                out[row, col] = partial[lag - 1]
+            weights = _q_weights(n_eff, max_lag, stat.removeprefix("q_"))
+            out[row] = np.cumsum(weights * q_terms)[np.asarray(lags) - 1]
     return out
 
 

@@ -140,6 +140,13 @@ class TestUsageErrors:
         assert run(["test", "--input", str(white_csv), "--order", "1",
                     "--lags", "3;5"]) == 1
 
+    def test_chi2_refuses_transformed_residuals(self, white_csv, capsys):
+        for transform in ("square", "abs"):
+            assert run(["test", "--input", str(white_csv), "--order", "1",
+                        "--lags", "5", "--method", "chi2",
+                        "--transform", transform]) == 1
+            assert "--method mc" in capsys.readouterr().err
+
 
 class TestStudies:
     def test_size_study_smoke(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ from vardiag import (
     residual_transform,
     sample_acov,
 )
-from vardiag.diagnostics import _block_toeplitz_any
+from vardiag.linalg import spd_inverse
 
 
 def colored_residuals(rng, n, k):
@@ -24,6 +24,29 @@ def colored_residuals(rng, n, k):
     mix = rng.standard_normal((k, k)) * 0.4 + np.eye(k)
     noise = rng.standard_normal((n + 1, k)) @ mix
     return noise[1:] + 0.25 * noise[:-1]
+
+
+def chitturi_block_toeplitz(racfs, m):
+    """Block-Toeplitz matrix of chitturi autocorrelations, assembled block by block.
+
+    Chitturi matrices are not symmetric in lag: the negative-lag block is
+    G_l' G0^{-1}, not the transpose of the positive-lag block.
+    """
+    k = racfs.k
+    gamma = racfs.acov.values
+    g0_inv = spd_inverse(gamma[0])
+    big = np.zeros(((m + 1) * k, (m + 1) * k))
+    for i in range(m + 1):
+        for j in range(m + 1):
+            lag = j - i
+            if lag == 0:
+                block = np.eye(k)
+            elif lag > 0:
+                block = racfs.values[lag]
+            else:
+                block = gamma[-lag].T @ g0_inv
+            big[i * k:(i + 1) * k, j * k:(j + 1) * k] = block
+    return big
 
 
 def synthetic_racf(values):
@@ -258,6 +281,32 @@ class TestGvDecompose:
         with pytest.raises(NotPositiveDefinite):
             gv_decompose(rs, 2)
 
+    def test_raises_exactly_when_gv_stat_is_infinite(self):
+        # inflated sample autocorrelations turn indefinite at some order;
+        # scalar ones put the last pivot just either side of the floor
+        rng = np.random.default_rng(20)
+        cases = []
+        for _ in range(60):
+            k = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 9))
+            n = int(rng.integers(2 * (m + 1) * k, 2 * (m + 1) * k + 60))
+            rs = racf(sample_acov(colored_residuals(rng, n, k), m), "hosking")
+            scale = rng.uniform(0.5, 4.0)
+            cases.append((synthetic_racf([np.eye(k)] + [scale * r for r in rs.values[1:]]), m))
+        for pivot_sq in (0.5e-12, 2e-12):
+            cases.append((synthetic_racf([np.eye(1), [[math.sqrt(1.0 - pivot_sq)]]]), 1))
+        outcomes = set()
+        for rs, m in cases:
+            infinite = gv_stat(rs, m, 100) == math.inf
+            try:
+                gv_decompose(rs, m)
+                raised = False
+            except NotPositiveDefinite:
+                raised = True
+            assert raised == infinite, (rs.k, m)
+            outcomes.add(raised)
+        assert outcomes == {True, False}
+
 
 class TestDeterminantEqualityAcrossModes:
     def test_hosking_vs_chitturi_blocks(self):
@@ -268,7 +317,7 @@ class TestDeterminantEqualityAcrossModes:
             n = int(rng.integers(max(60, 2 * (m + 1) * k), 220))
             acf = sample_acov(colored_residuals(rng, n, k), m)
             det_h = np.linalg.det(block_toeplitz(racf(acf, "hosking"), m))
-            det_c = np.linalg.det(_block_toeplitz_any(racf(acf, "chitturi"), m))
+            det_c = np.linalg.det(chitturi_block_toeplitz(racf(acf, "chitturi"), m))
             assert abs(det_h - det_c) <= 1e-8 * abs(det_h)
 
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from vardiag import (
+    Autocorrelations,
+    Autocovariances,
     McConfig,
     ReplicateFailure,
     SingularDesign,
@@ -96,6 +98,32 @@ class TestEvaluateStatistics:
             assert abs(out[0, col] - gv_stat(rs, lag, 120)) < 1e-10
             assert abs(out[1, col] - portmanteau_q(acf, lag, "classic")) < 1e-10
             assert abs(out[2, col] - portmanteau_q(acf, lag, "modified")) < 1e-10
+
+    def test_gv_row_matches_per_lag_gv_stat(self):
+        rng = np.random.default_rng(101)
+        for _ in range(200):
+            k = int(rng.choice((1, 2, 3)))
+            m = int(rng.integers(1, 11))
+            n = int(rng.integers(max(50, 2 * (m + 1) * k), 201))
+            mix = rng.standard_normal((k, k)) * 0.4 + np.eye(k)
+            noise = rng.standard_normal((n + 1, k)) @ mix
+            resid = noise[1:] + 0.3 * noise[:-1]
+            rs = racf(sample_acov(resid, m), "hosking")
+            for lags in ((m,), tuple(range(1, m + 1)), tuple(sorted({1, (m + 1) // 2, m}))):
+                out = evaluate_statistics(resid, ("gv",), lags)[0]
+                expect = np.array([gv_stat(rs, lag, n) for lag in lags])
+                assert (np.abs(out - expect) <= 1e-12 * np.abs(expect)).all(), (k, m, lags)
+
+    def test_gv_row_nonpd_is_infinite_from_failing_block(self):
+        from vardiag.montecarlo import _gv_row
+
+        # the order-3 matrix is indefinite, the order-2 one is not
+        acov = Autocovariances(tuple(np.array([[v]]) for v in (1.0, 0.5, 0.25, 1.5, 0.1)), 100)
+        rs = Autocorrelations("hosking", acov.values, acov)
+        row = _gv_row(rs, (1, 2, 3, 4), 100)
+        assert row[:2].tolist() == [gv_stat(rs, 1, 100), gv_stat(rs, 2, 100)]
+        assert np.isfinite(row[:2]).all()
+        assert row[2:].tolist() == [math.inf, math.inf]
 
     def test_transform_applied(self):
         rng = derive_seed(4, 0)
