@@ -37,6 +37,10 @@ class DegenerateDf(VardiagError):
     """Degrees of freedom are zero or negative."""
 
 
+class NonFinitePath(VardiagError):
+    """A simulated series overflowed to non-finite values."""
+
+
 class ReplicateFailure(VardiagError):
     """A Monte-Carlo replicate could not be generated."""
 

@@ -8,7 +8,9 @@ rescores.  The p-value at each lag is the add-one exceedance proportion
 
 Replicates are seeded individually from a 64-bit mix of (master seed,
 replicate index, attempt), so the report is identical whatever the worker
-count; aggregation is a commutative exceedance count.
+count; aggregation is a commutative exceedance count.  Replicates are
+simulated in fixed index chunks through one stacked VAR recursion, so results
+still do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .diagnostics import (
 )
 from .errors import (
     DegenerateResiduals,
+    NonFinitePath,
     NotPositiveDefinite,
     ReplicateFailure,
     SingularDesign,
@@ -46,6 +49,8 @@ STATISTICS = ("gv", "q_classic", "q_modified")
 INNOVATION_MODES = ("gaussian", "bootstrap")
 
 _MAX_ATTEMPTS = 10
+# Replicates simulated together through one stacked VAR recursion.
+_CHUNK = 32
 _MASK64 = (1 << 64) - 1
 
 
@@ -229,53 +234,73 @@ class _ReplicatePlan:
     master_seed: int
 
 
-def _simulate_plan(plan: _ReplicatePlan, rng: np.random.Generator) -> np.ndarray:
-    burn = burn_in_length(plan.order, 0)
-    steps = burn + plan.n
+def _draw_innovations(plan: _ReplicatePlan, rng: np.random.Generator) -> np.ndarray:
+    steps = burn_in_length(plan.order, 0) + plan.n
     if plan.pool is not None:
-        rows = rng.integers(0, plan.pool.shape[0], size=steps)
-        innovations = plan.pool[rows]
-    else:
-        k = plan.innov_chol.shape[0]
-        innovations = rng.standard_normal((steps, k)) @ plan.innov_chol.T
-    path = innovation_recursion(plan.phi, (), innovations)
-    return plan.mean + path[burn:]
+        return plan.pool[rng.integers(0, plan.pool.shape[0], size=steps)]
+    k = plan.innov_chol.shape[0]
+    return rng.standard_normal((steps, k)) @ plan.innov_chol.T
 
 
-def _one_replicate(plan: _ReplicatePlan, index: int) -> np.ndarray:
+def _score_path(plan: _ReplicatePlan, path: np.ndarray) -> np.ndarray:
+    """Refit one simulated deviation path and score it."""
+    if not np.isfinite(path).all():
+        raise NonFinitePath(
+            "simulated path is not finite (numerically explosive fitted model)")
+    sim = plan.mean + path[burn_in_length(plan.order, 0):]
+    refit = fit_var(sim, plan.order, plan.with_intercept)
+    return evaluate_statistics(refit.residuals, plan.statistics, plan.lags, plan.transform)
+
+
+# Numeric failures after which a replicate is redrawn with the next attempt.
+_RETRIED = (SingularDesign, TooShort, DegenerateResiduals, NotPositiveDefinite,
+            NonFinitePath)
+
+
+def _one_replicate(plan: _ReplicatePlan, index: int, first_attempt: int = 0) -> np.ndarray:
     last_error = None
-    for attempt in range(_MAX_ATTEMPTS):
+    for attempt in range(first_attempt, _MAX_ATTEMPTS):
         rng = derive_seed(plan.master_seed, index, attempt)
         try:
-            sim = _simulate_plan(plan, rng)
-            refit = fit_var(sim, plan.order, plan.with_intercept)
-            return evaluate_statistics(
-                refit.residuals, plan.statistics, plan.lags, plan.transform)
-        except (SingularDesign, TooShort, DegenerateResiduals,
-                NotPositiveDefinite, ValueError) as err:
-            # ValueError covers non-finite paths from a numerically explosive
-            # fitted model; a fresh sub-seed is drawn and the replicate redone.
+            path = innovation_recursion(plan.phi, (), _draw_innovations(plan, rng))
+            return _score_path(plan, path)
+        except _RETRIED as err:
             last_error = err
     raise ReplicateFailure(
         f"replicate {index} failed after {_MAX_ATTEMPTS} attempts: {last_error}")
 
 
 def _replicate_chunk(args) -> list:
+    """First attempts of replicates start..stop-1 through one stacked recursion.
+
+    A row that fails is redrawn on its own from attempt 1.
+    """
     plan, start, stop = args
-    return [_one_replicate(plan, index) for index in range(start, stop)]
+    innovations = np.stack([_draw_innovations(plan, derive_seed(plan.master_seed, index, 0))
+                            for index in range(start, stop)])
+    paths = innovation_recursion(plan.phi, (), innovations)
+    rows = []
+    for index, path in zip(range(start, stop), paths):
+        try:
+            rows.append(_score_path(plan, path))
+        except _RETRIED:
+            rows.append(_one_replicate(plan, index, first_attempt=1))
+    return rows
+
+
+def _pool_map(fn, tasks, workers: int, chunksize: int = 1) -> list:
+    """``[fn(t) for t in tasks]``, across a process pool when ``workers > 1``."""
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
 def _run_replicates(plan: _ReplicatePlan, n_reps: int, workers: int) -> list:
-    if workers <= 1:
-        return [_one_replicate(plan, index) for index in range(1, n_reps + 1)]
-    chunk = max(1, -(-n_reps // (4 * workers)))
-    jobs = [(plan, start, min(start + chunk, n_reps + 1))
-            for start in range(1, n_reps + 1, chunk)]
-    results: list = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_replicate_chunk, jobs):
-            results.extend(part)
-    return results
+    # Chunk boundaries depend on the replicate index only, never on workers.
+    jobs = [(plan, start, min(start + _CHUNK, n_reps + 1))
+            for start in range(1, n_reps + 1, _CHUNK)]
+    return [row for part in _pool_map(_replicate_chunk, jobs, workers) for row in part]
 
 
 def _build_plan(fitted: FittedVar, n: int, config: McConfig, statistics) -> _ReplicatePlan:

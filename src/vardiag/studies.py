@@ -14,13 +14,13 @@ needs a cluster.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ._version import __version__
 from .asymptotics import ab_params, approx_pvalue
 from .estimate import fit_var
-from .montecarlo import McConfig, derive_key, derive_seed, evaluate_statistics, mc_pvalues
+from .montecarlo import (
+    McConfig, _pool_map, derive_key, derive_seed, evaluate_statistics, mc_pvalues)
 from .varma import CATALOG_NAMES, catalog, simulate
 
 DEFAULT_TRIALS = 500
@@ -189,13 +189,8 @@ def _power_trial(args) -> dict:
 
 
 def _run_trials(task_fn, task_args, workers: int) -> list:
-    if workers <= 1:
-        return [task_fn(args) for args in task_args]
-    results = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for out in pool.map(task_fn, task_args, chunksize=max(1, len(task_args) // (8 * workers))):
-            results.append(out)
-    return results
+    chunksize = max(1, len(task_args) // (8 * workers))
+    return _pool_map(task_fn, task_args, workers, chunksize)
 
 
 def _tabulate(kind, models, ns, lags, trials, replicates, master_seed,

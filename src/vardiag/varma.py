@@ -196,20 +196,23 @@ def burn_in_length(p: int, q: int) -> int:
 def innovation_recursion(phi: tuple, theta: tuple, innovations: np.ndarray) -> np.ndarray:
     """Run the VARMA difference equation in deviation-from-mean form.
 
-    Pre-sample states and innovations are treated as zero; callers discard an
-    adequate burn-in prefix.
+    ``innovations`` is one path of shape ``(steps, k)`` or a stack of paths
+    of shape ``(..., steps, k)``; every path in a stack advances together,
+    one time step at a time, and the result has the same shape.  Pre-sample
+    states and innovations are treated as zero; callers discard an adequate
+    burn-in prefix.
     """
-    steps = innovations.shape[0]
+    steps = innovations.shape[-2]
     out = np.empty_like(innovations)
     p = len(phi)
     q = len(theta)
     for t in range(steps):
-        acc = innovations[t].copy()
+        acc = innovations[..., t, :].copy()
         for i in range(1, min(t, p) + 1):
-            acc += phi[i - 1] @ out[t - i]
+            acc += out[..., t - i, :] @ phi[i - 1].T
         for j in range(1, min(t, q) + 1):
-            acc -= theta[j - 1] @ innovations[t - j]
-        out[t] = acc
+            acc -= innovations[..., t - j, :] @ theta[j - 1].T
+        out[..., t, :] = acc
     return out
 
 

@@ -247,3 +247,112 @@ class TestSharedReplicates:
         solo = mc_test(series, 1, config)
         assert solo.lags[0].p_value == pvals[0, 0]
         assert solo.lags[1].p_value == pvals[0, 1]
+
+
+def _phi1_plan(innovations="gaussian"):
+    from vardiag.montecarlo import _build_plan
+
+    series = simulate(catalog("phi1"), 120, derive_seed(14, 0))
+    config = McConfig(replicates=39, master_seed=15, lags=(2, 5),
+                      innovations=innovations)
+    return _build_plan(fit_var(series, 1), 120, config, ("gv", "q_modified"))
+
+
+def _close_rows(got, expect, rtol=1e-12):
+    assert len(got) == len(expect)
+    return all(np.all(np.abs(g - e) <= rtol * np.abs(e)) for g, e in zip(got, expect))
+
+
+class TestStackedReplicates:
+    @pytest.mark.parametrize("replicates", [39, 71])
+    @pytest.mark.parametrize("innovations", ["gaussian", "bootstrap"])
+    def test_reports_identical_across_workers(self, replicates, innovations):
+        from vardiag.montecarlo import _CHUNK
+
+        assert replicates % _CHUNK != 0
+        series = simulate(catalog("phi1"), 110, derive_seed(16, 0))
+        base = dict(replicates=replicates, master_seed=17, lags=(2, 4),
+                    innovations=innovations, statistic="q_modified")
+        reports = {w: mc_test(series, 1, McConfig(workers=w, **base)).to_json()
+                   for w in (1, 2, 3)}
+        assert reports[1] == reports[2] == reports[3]
+
+    @pytest.mark.parametrize("innovations", ["gaussian", "bootstrap"])
+    def test_chunks_match_one_replicate_at_a_time(self, innovations):
+        from vardiag.montecarlo import _one_replicate, _run_replicates
+
+        plan = _phi1_plan(innovations)
+        expect = [_one_replicate(plan, i) for i in range(1, 40)]
+        assert _close_rows(_run_replicates(plan, 39, 1), expect)
+
+    def test_failed_row_is_redrawn_alone(self, monkeypatch):
+        import vardiag.montecarlo as mc
+
+        plan = _phi1_plan()
+        clean = [mc._one_replicate(plan, i) for i in range(1, 40)]
+        # the series replicate 3 simulates on its first attempt
+        noise = mc._draw_innovations(plan, derive_seed(plan.master_seed, 3, 0))
+        burn = mc.burn_in_length(plan.order, 0)
+        first = plan.mean + mc.innovation_recursion(plan.phi, (), noise)[burn:]
+        original = mc.fit_var
+
+        def failing(series, order, with_intercept=True):
+            if np.allclose(series, first, rtol=1e-10, atol=0):
+                raise SingularDesign("forced failure")
+            return original(series, order, with_intercept)
+
+        monkeypatch.setattr(mc, "fit_var", failing)
+        expect = [mc._one_replicate(plan, i) for i in range(1, 40)]
+        got = mc._run_replicates(plan, 39, 1)
+        assert _close_rows(got, expect)
+        assert _close_rows(got[3:], clean[3:]) and _close_rows(got[:2], clean[:2])
+        assert _close_rows(got[2:3], [mc._one_replicate(plan, 3, first_attempt=1)])
+        assert not np.allclose(got[2], clean[2])
+
+    def test_value_error_in_scoring_is_not_retried(self, monkeypatch):
+        import vardiag.montecarlo as mc
+
+        plan = _phi1_plan()
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(args)
+            raise ValueError("programming error")
+
+        monkeypatch.setattr(mc, "evaluate_statistics", broken)
+        with pytest.raises(ValueError, match="programming error"):
+            mc._run_replicates(plan, 39, 1)
+        assert len(calls) == 1
+
+    def test_non_finite_row_is_redrawn(self, monkeypatch):
+        import vardiag.montecarlo as mc
+
+        plan = _phi1_plan()
+        clean = [mc._one_replicate(plan, i) for i in range(1, 40)]
+        original = mc.innovation_recursion
+        stacks = []
+
+        def overflowing(phi, theta, innovations):
+            out = original(phi, theta, innovations)
+            if out.ndim == 3:
+                stacks.append(out.shape[0])
+                if len(stacks) == 1:
+                    out[4, -1, 0] = np.inf  # replicate 5, in the first chunk
+            return out
+
+        monkeypatch.setattr(mc, "innovation_recursion", overflowing)
+        got = mc._run_replicates(plan, 39, 1)
+        assert _close_rows(got[:4] + got[5:], clean[:4] + clean[5:])
+        assert _close_rows(got[4:5], [mc._one_replicate(plan, 5, first_attempt=1)])
+        assert not np.allclose(got[4], clean[4])
+        assert stacks == [mc._CHUNK, 39 - mc._CHUNK]
+
+    def test_explosive_plan_fails_naming_the_path(self):
+        import dataclasses
+
+        from vardiag.montecarlo import _run_replicates
+
+        plan = dataclasses.replace(_phi1_plan(), phi=(40.0 * np.eye(2),))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ReplicateFailure, match="not finite"):
+            _run_replicates(plan, 19, 1)

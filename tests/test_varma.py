@@ -16,6 +16,7 @@ from vardiag import (
     validate_model,
 )
 from vardiag.montecarlo import derive_seed
+from vardiag.varma import innovation_recursion
 
 
 def scalar_model(phi=(), theta=()):
@@ -164,6 +165,29 @@ class TestSimulate:
         data = simulate(catalog("model8"), 37, derive_seed(5, 1))
         assert data.shape == (37, 3)
         assert np.isfinite(data).all()
+
+
+class TestInnovationRecursion:
+    @pytest.mark.parametrize("name", ["model1", "model8"])
+    def test_stack_matches_per_path(self, name):
+        # model1 is a bivariate VAR(2); model8 a trivariate VARMA(1, 1)
+        model = catalog(name)
+        rng = np.random.default_rng(17)
+        innovations = rng.standard_normal((2, 5, 160, model.k)) @ model._innov_chol.T
+        stacked = innovation_recursion(model.phi, model.theta, innovations)
+        assert stacked.shape == innovations.shape
+        for path, noise in zip(stacked.reshape(10, 160, model.k),
+                               innovations.reshape(10, 160, model.k)):
+            expect = innovation_recursion(model.phi, model.theta, noise)
+            assert np.abs(path - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("name", ["model1", "model8"])
+    def test_stack_of_one_is_bitwise_the_single_path(self, name):
+        model = catalog(name)
+        noise = np.random.default_rng(18).standard_normal((120, model.k))
+        single = innovation_recursion(model.phi, model.theta, noise)
+        stacked = innovation_recursion(model.phi, model.theta, noise[None])
+        assert stacked[0].tobytes() == single.tobytes()
 
 
 class TestCatalog:
