@@ -48,7 +48,7 @@ from .errors import (
     VardiagError,
 )
 from .estimate import FittedVar, fit_var, implied_mean
-from .linalg import cholesky_lower, kron, log_det_spd, spd_inverse, vec
+from .linalg import cholesky_lower, log_det_spd, spd_inverse
 from .montecarlo import (
     LagResult,
     McConfig,
@@ -86,7 +86,7 @@ __all__ = [
     "InvalidModel", "NotPositiveDefinite", "ParseError", "ReplicateFailure",
     "SingularDesign", "TooShort", "UnknownModel", "VardiagError",
     "FittedVar", "fit_var", "implied_mean",
-    "cholesky_lower", "kron", "log_det_spd", "spd_inverse", "vec",
+    "cholesky_lower", "log_det_spd", "spd_inverse",
     "LagResult", "McConfig", "TestReport", "derive_key", "derive_seed",
     "evaluate_statistics", "margin_of_error", "mc_pvalues", "mc_test", "p_hat",
     "StudyCell", "StudyResult", "power_study", "size_study",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateDf, NotPositiveDefinite, SingularDesign
 from .estimate import FittedVar
-from .linalg import kron, spd_inverse
+from .linalg import spd_inverse
 from .varma import VarmaModel, inverse_ma_weights, ma_weights
 
 
@@ -92,9 +92,9 @@ def build_design(model, m: int) -> DesignSet:
     for r in range(m):
         acc = np.zeros((kk, kk))
         for i in range(r + 1):
-            acc += kron(cov @ psi[i].T, pi[r - i])
+            acc += np.kron(cov @ psi[i].T, pi[r - i])
         g_blocks.append(acc)
-        h_blocks.append(kron(cov, pi[r]))
+        h_blocks.append(np.kron(cov, pi[r]))
 
     g = np.zeros((kk * m, kk * p))
     for i in range(m):
@@ -107,8 +107,8 @@ def build_design(model, m: int) -> DesignSet:
     x = np.hstack([g, -h])
 
     cov_inv = spd_inverse(cov)
-    w = kron(np.eye(m), kron(cov, cov))
-    w_inv = kron(np.eye(m), kron(cov_inv, cov_inv))
+    w = np.kron(np.eye(m), np.kron(cov, cov))
+    w_inv = np.kron(np.eye(m), np.kron(cov_inv, cov_inv))
 
     if x.shape[1] == 0:
         q_mat = np.zeros((kk * m, kk * m))

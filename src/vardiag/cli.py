@@ -206,11 +206,15 @@ def _cmd_test(args, argv) -> int:
 
 def _cmd_size_study(args, argv) -> int:
     start = time.perf_counter()
-    result = size_study(
-        models=_name_list(args.phi), ns=_int_list(args.n, "--n"),
-        lags=_int_list(args.lags, "--lags"), trials=args.trials,
-        replicates=args.reps, master_seed=args.seed, method=args.method,
-        workers=args.workers)
+    try:
+        result = size_study(
+            models=_name_list(args.phi), ns=_int_list(args.n, "--n"),
+            lags=_int_list(args.lags, "--lags"), trials=args.trials,
+            replicates=args.reps, master_seed=args.seed, method=args.method,
+            workers=args.workers)
+    except ValueError as err:
+        # a study simulates its own data, so only a flag can be out of range
+        raise _UsageError(f"vardiag size-study: {err}") from None
     print(result.format_table())
     if args.out:
         _write_json(args.out, _document("size-study", argv, args.seed,
@@ -221,11 +225,14 @@ def _cmd_size_study(args, argv) -> int:
 
 def _cmd_power_study(args, argv) -> int:
     start = time.perf_counter()
-    result = power_study(
-        models=_name_list(args.model), ns=_int_list(args.n, "--n"),
-        lags=_int_list(args.lags, "--lags"), trials=args.trials,
-        replicates=args.reps, master_seed=args.seed,
-        fit_order=args.fit_order, workers=args.workers)
+    try:
+        result = power_study(
+            models=_name_list(args.model), ns=_int_list(args.n, "--n"),
+            lags=_int_list(args.lags, "--lags"), trials=args.trials,
+            replicates=args.reps, master_seed=args.seed,
+            fit_order=args.fit_order, workers=args.workers)
+    except ValueError as err:
+        raise _UsageError(f"vardiag power-study: {err}") from None
     print(result.format_table())
     if args.out:
         _write_json(args.out, _document("power-study", argv, args.seed,

@@ -12,9 +12,10 @@ originators and selected by a ``mode`` string:
 ``chitturi``
     R_l = G_l G_0^{-1}; the lag-0 matrix is exactly the identity.
 
-The classical portmanteau statistic has the same value under each mode and
-under both the trace form and the Kronecker quadratic form; the test suite
-checks that equivalence numerically.
+The classical portmanteau statistic is computed once, from the trace of
+G_l' G_0^{-1} G_l G_0^{-1} at each lag.  It equals the quadratic form in the
+row-stacked autocorrelation matrices under every mode; the test suite keeps
+that Kronecker form as its reference and checks the equality numerically.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateResiduals, NotPositiveDefinite
-from .linalg import cholesky_lower, kron, log_det_spd, spd_inverse
+from .linalg import cholesky_lower, log_det_spd, spd_inverse
 
 RACF_MODES = ("hosking", "li_mcleod", "chitturi")
 Q_VARIANTS = ("classic", "modified")
-Q_FORMS = ("trace", "kron")
 TRANSFORMS = ("identity", "square", "abs")
 
 
@@ -147,21 +147,6 @@ def _q_lag_terms(acf: Autocovariances, m: int) -> np.ndarray:
     return terms
 
 
-def _q_kron_weight(rs: Autocorrelations) -> np.ndarray:
-    """Quadratic-form weight matrix making each mode's statistic coincide.
-
-    For the hosking and li_mcleod modes this is the Kronecker square of the
-    inverse lag-0 autocorrelation matrix.  The chitturi lag-0 matrix is the
-    identity and carries no scale, so its statistic weights the row-stacked
-    matrices by (G0^{-1} x G0) instead.
-    """
-    if rs.mode == "chitturi":
-        g0 = rs.acov.values[0]
-        return kron(spd_inverse(g0), g0)
-    r0_inv = spd_inverse(rs.values[0])
-    return kron(r0_inv, r0_inv)
-
-
 def _q_weights(n: int, m: int, variant: str) -> np.ndarray:
     """Per-lag weights of Q at lags 1..m: n (classic) or n^2 / (n - l) (modified)."""
     if variant == "classic":
@@ -169,40 +154,27 @@ def _q_weights(n: int, m: int, variant: str) -> np.ndarray:
     return n * n / (n - np.arange(1, m + 1, dtype=float))
 
 
-def portmanteau_q(acf: Autocovariances, m: int, variant: str = "classic",
-                  form: str = "trace", mode: str = "hosking") -> float:
-    """Classical multivariate portmanteau statistic through lag m.
+def portmanteau_q(acf: Autocovariances, m: int, variant: str = "classic") -> float:
+    """Hosking's multivariate portmanteau statistic through lag m.
+
+    Sums ``w_l * tr(G_l' G_0^{-1} G_l G_0^{-1})`` over lags 1..m, where G_l
+    are the residual autocovariances.  The value does not depend on the
+    autocorrelation standardization, so no ``racf`` mode is needed.
 
     Parameters
     ----------
     acf : Autocovariances
         Must cover lags 1..m.
     variant : {"classic", "modified"}
-        The modified variant reweights lag l by ``n / (n - l)``, which makes
-        the null expectation closer to its asymptotic value in short series.
-    form : {"trace", "kron"}
-        Computation route: trace identity on the autocovariances, or the
-        quadratic form in the row-stacked autocorrelation matrices.  The two
-        agree to rounding error, as do all three ``mode`` choices.
+        ``w_l = n`` for the classic statistic.  The modified variant uses
+        ``w_l = n^2 / (n - l)``, which makes the null expectation closer to
+        its asymptotic value in short series.
     """
     if variant not in Q_VARIANTS:
         raise ValueError(f"variant must be one of {Q_VARIANTS}, got {variant!r}")
-    if form not in Q_FORMS:
-        raise ValueError(f"form must be one of {Q_FORMS}, got {form!r}")
     if not 1 <= m <= acf.max_lag:
         raise ValueError(f"m must be within 1..{acf.max_lag}, got {m}")
-
-    if form == "trace":
-        terms = _q_lag_terms(acf, m)
-    else:
-        rs = racf(acf, mode)
-        weight = _q_kron_weight(rs)
-        terms = np.empty(m)
-        for lag in range(1, m + 1):
-            stacked = rs.values[lag].ravel()
-            terms[lag - 1] = float(stacked @ weight @ stacked)
-
-    return float(_q_weights(acf.n_eff, m, variant) @ terms)
+    return float(_q_weights(acf.n_eff, m, variant) @ _q_lag_terms(acf, m))
 
 
 def _assemble_block_toeplitz(values: tuple, m: int, k: int) -> np.ndarray:

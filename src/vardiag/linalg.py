@@ -19,16 +19,6 @@ def _require_square(a: np.ndarray) -> None:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result equals a[i, j] * b."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization of a matrix."""
-    return np.asarray(a, dtype=float).ravel(order="F")
-
-
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor with positive diagonal.
 

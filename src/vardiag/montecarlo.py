@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .diagnostics import (
 )
 from .errors import (
     DegenerateResiduals,
+    InvalidModel,
     NonFinitePath,
     NotPositiveDefinite,
     ReplicateFailure,
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .estimate import FittedVar, fit_var, implied_mean
 from .linalg import cholesky_lower
-from .varma import burn_in_length, innovation_recursion
+from .varma import VarmaModel, burn_in_length, innovation_recursion, validate_model
 
 STATISTICS = ("gv", "q_classic", "q_modified")
 INNOVATION_MODES = ("gaussian", "bootstrap")
@@ -143,28 +144,7 @@ class TestReport:
             object.__setattr__(self, "version", __version__)
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "innovations": self.innovations,
-            "transform": self.transform,
-            "order": self.order,
-            "with_intercept": self.with_intercept,
-            "n_eff": self.n_eff,
-            "version": self.version,
-            "lags": [
-                {
-                    "lag": r.lag,
-                    "observed": r.observed,
-                    "p_value": r.p_value,
-                    "margin_of_error": r.margin_of_error,
-                    "exceedances": r.exceedances,
-                    "nonpd_replicates": r.nonpd_replicates,
-                }
-                for r in self.lags
-            ],
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -304,6 +284,12 @@ def _run_replicates(plan: _ReplicatePlan, n_reps: int, workers: int) -> list:
 
 
 def _build_plan(fitted: FittedVar, n: int, config: McConfig, statistics) -> _ReplicatePlan:
+    # The null is simulated from the fitted model, so it must be stationary.
+    check = validate_model(VarmaModel(phi=fitted.phi_hat, innov_cov=fitted.gamma0_hat))
+    if not check.stationary:
+        raise InvalidModel(
+            f"fitted VAR({fitted.order}) is not stationary (AR spectral radius "
+            f"{check.spectral_radius_ar:.6f}); its Monte-Carlo null cannot be simulated")
     if config.innovations == "bootstrap":
         pool = fitted.residuals - fitted.residuals.mean(axis=0)
         innov_chol = None

@@ -14,7 +14,7 @@ needs a cluster.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .asymptotics import ab_params, approx_pvalue
@@ -71,31 +71,11 @@ class StudyResult:
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "models": list(self.models),
-            "ns": list(self.ns),
-            "lags": list(self.lags),
-            "trials": self.trials,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "level": self.level,
-            "columns": list(self.columns),
-            "version": self.version,
-            "cells": [
-                {
-                    "model": c.model,
-                    "n": c.n,
-                    "lag": c.lag,
-                    "column": c.column,
-                    "rejections": c.rejections,
-                    "trials": c.trials,
-                    "rate_percent": c.rate_percent,
-                }
-                for c in self.cells
-            ],
-            "skipped": [list(s) for s in self.skipped],
-        }
+        out = asdict(self)
+        for cell, row in zip(self.cells, out["cells"]):
+            row["rate_percent"] = cell.rate_percent
+        out["skipped"] = [list(s) for s in self.skipped]
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -137,16 +117,21 @@ def _usable_lags(lags, n: int, order: int, k: int):
     return tuple(ok), tuple(refused)
 
 
-def _size_trial(args) -> dict:
-    (name, n, trial, master_seed, lags, replicates, method, order) = args
+def _trial_inputs(name: str, n: int, trial: int, master_seed: int, lags, order: int):
+    """One trial's model, simulated series, usable lags and Monte-Carlo master key."""
     model = catalog(name)
     code = _model_code(name)
     data_rng = derive_seed(derive_key(master_seed, code, n, trial), 0)
     series = simulate(model, n, data_rng)
     usable, _ = _usable_lags(lags, n, order, model.k)
+    return model, series, usable, derive_key(master_seed, code, n, trial, 1)
+
+
+def _size_trial(args) -> dict:
+    (name, n, trial, master_seed, lags, replicates, method, order) = args
+    model, series, usable, mc_master = _trial_inputs(name, n, trial, master_seed, lags, order)
     if not usable:
         return {}
-    mc_master = derive_key(master_seed, code, n, trial, 1)
     rejections = {}
     config = McConfig(replicates=replicates, master_seed=mc_master,
                       statistic="gv", lags=usable)
@@ -169,14 +154,9 @@ def _size_trial(args) -> dict:
 
 def _power_trial(args) -> dict:
     (name, n, trial, master_seed, lags, replicates, fit_order) = args
-    model = catalog(name)
-    code = _model_code(name)
-    data_rng = derive_seed(derive_key(master_seed, code, n, trial), 0)
-    series = simulate(model, n, data_rng)
-    usable, _ = _usable_lags(lags, n, fit_order, model.k)
+    _, series, usable, mc_master = _trial_inputs(name, n, trial, master_seed, lags, fit_order)
     if not usable:
         return {}
-    mc_master = derive_key(master_seed, code, n, trial, 1)
     config = McConfig(replicates=replicates, master_seed=mc_master,
                       statistic="gv", lags=usable)
     _, _, pvals, _, _ = mc_pvalues(series, fit_order, config,
@@ -193,10 +173,28 @@ def _run_trials(task_fn, task_args, workers: int) -> list:
     return _pool_map(task_fn, task_args, workers, chunksize)
 
 
-def _tabulate(kind, models, ns, lags, trials, replicates, master_seed,
-              columns, per_stratum_flags, skipped) -> StudyResult:
+def _run_study(kind, trial_fn, task_tail, order, columns, models, ns, lags,
+               trials, replicates, master_seed, workers) -> StudyResult:
+    """Run ``trial_fn`` on every trial of every (model, n) stratum and tabulate.
+
+    Each task is ``(name, n, trial, master_seed, lags, replicates, *task_tail)``.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    # the replicate and worker bounds of a single test
+    McConfig(replicates=replicates, workers=workers)
+    per_stratum = {}
+    skipped = []
+    for name in models:
+        k = catalog(name).k
+        for n in ns:
+            _, refused = _usable_lags(lags, n, order, k)
+            skipped.extend((name, n, lag) for lag in refused)
+            tasks = [(name, n, trial, master_seed, tuple(lags), replicates, *task_tail)
+                     for trial in range(trials)]
+            per_stratum[(name, n)] = _run_trials(trial_fn, tasks, workers)
     cells = []
-    for (model, n), flag_dicts in per_stratum_flags.items():
+    for (model, n), flag_dicts in per_stratum.items():
         for lag in lags:
             for column in columns:
                 key = (lag, column)
@@ -223,18 +221,8 @@ def size_study(models=("phi1", "phi2", "phi3", "phi4"), ns=(100, 200, 500),
     if method not in ("mc", "chi2", "both"):
         raise ValueError("method must be 'mc', 'chi2' or 'both'")
     columns = {"mc": ("mc",), "chi2": ("chi2",), "both": _SIZE_COLUMNS}[method]
-    per_stratum = {}
-    skipped = []
-    for name in models:
-        model = catalog(name)
-        for n in ns:
-            _, refused = _usable_lags(lags, n, 1, model.k)
-            skipped.extend((name, n, lag) for lag in refused)
-            tasks = [(name, n, trial, master_seed, tuple(lags), replicates, method, 1)
-                     for trial in range(trials)]
-            per_stratum[(name, n)] = _run_trials(_size_trial, tasks, workers)
-    return _tabulate("size-study", models, ns, lags, trials, replicates,
-                     master_seed, columns, per_stratum, skipped)
+    return _run_study("size-study", _size_trial, (method, 1), 1, columns, models, ns,
+                      lags, trials, replicates, master_seed, workers)
 
 
 def power_study(models=tuple(f"model{i}" for i in range(1, 9)), ns=(50, 100, 200),
@@ -248,15 +236,6 @@ def power_study(models=tuple(f"model{i}" for i in range(1, 9)), ns=(50, 100, 200
     generalized-variance statistic and the modified classical statistic
     against the same replicate set.
     """
-    per_stratum = {}
-    skipped = []
-    for name in models:
-        model = catalog(name)
-        for n in ns:
-            _, refused = _usable_lags(lags, n, fit_order, model.k)
-            skipped.extend((name, n, lag) for lag in refused)
-            tasks = [(name, n, trial, master_seed, tuple(lags), replicates, fit_order)
-                     for trial in range(trials)]
-            per_stratum[(name, n)] = _run_trials(_power_trial, tasks, workers)
-    return _tabulate("power-study", models, ns, lags, trials, replicates,
-                     master_seed, _POWER_COLUMNS, per_stratum, skipped)
+    return _run_study("power-study", _power_trial, (fit_order,), fit_order,
+                      _POWER_COLUMNS, models, ns, lags, trials, replicates,
+                      master_seed, workers)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from vardiag import read_csv
+from reference import explosive_series
+
+from vardiag import CsvTable, read_csv, write_csv
 from vardiag.cli import main
 
 
@@ -119,6 +121,14 @@ class TestTest:
         assert code == 2
         assert "row 3" in capsys.readouterr().err
 
+    def test_explosive_fit_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "explosive.csv"
+        write_csv(path, CsvTable(("z1", "z2"), explosive_series()))
+        code = run(["test", "--input", str(path), "--order", "1", "--lags", "3",
+                    "--reps", "19"])
+        assert code == 2
+        assert "radius 1.053" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = run(["test", "--input", str(tmp_path / "nope.csv"),
                     "--order", "1", "--lags", "3"])
@@ -180,3 +190,15 @@ class TestStudies:
         assert code == 0
         text = capsys.readouterr().out
         assert "NA" in text
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("size-study", ["--workers", "0"], "workers"),
+        ("power-study", ["--workers", "-1"], "workers"),
+        ("size-study", ["--reps", "5"], "replicates"),
+        ("power-study", ["--trials", "0"], "trials"),
+    ])
+    def test_out_of_range_study_flag_is_usage_error(self, command, flags, message, capsys):
+        # the last occurrence of a flag wins, so the case's flags override these
+        small = ["--n", "60", "--lags", "3", "--trials", "2", "--reps", "19"]
+        assert run([command, *small, *flags]) == 1
+        assert message in capsys.readouterr().err

@@ -7,57 +7,14 @@ from vardiag import (
     DimensionMismatch,
     NotPositiveDefinite,
     cholesky_lower,
-    kron,
     log_det_spd,
     spd_inverse,
-    vec,
 )
 
 
 def random_spd(rng, n):
     m = rng.standard_normal((n, n))
     return m.T @ m + np.eye(n)
-
-
-class TestKron:
-    def test_identity_left_gives_block_diagonal(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = kron(np.eye(2), a)
-        expect = np.zeros((4, 4))
-        expect[:2, :2] = a
-        expect[2:, 2:] = a
-        assert np.array_equal(out, expect)
-
-    def test_dimension_rule(self):
-        a = np.ones((2, 3))
-        b = np.ones((4, 5))
-        assert kron(a, b).shape == (8, 15)
-
-    def test_scalar_case(self):
-        out = kron([[2.0]], np.eye(2))
-        assert np.array_equal(out, [[2.0, 0.0], [0.0, 2.0]])
-
-    def test_block_structure(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 2))
-        b = rng.standard_normal((2, 4))
-        out = kron(a, b)
-        for i in range(3):
-            for j in range(2):
-                block = out[i * 2:(i + 1) * 2, j * 4:(j + 1) * 4]
-                assert np.allclose(block, a[i, j] * b, rtol=0, atol=1e-15)
-
-    def test_vec_identity(self):
-        # vec(A X B') == (B kron A) vec(X) on random instances
-        rng = np.random.default_rng(1)
-        for n in (2, 3):
-            for _ in range(20):
-                a = rng.standard_normal((n, n))
-                x = rng.standard_normal((n, n))
-                b = rng.standard_normal((n, n))
-                lhs = vec(a @ x @ b.T)
-                rhs = kron(b, a) @ vec(x)
-                assert np.abs(lhs - rhs).max() < 1e-10
 
 
 class TestCholesky:

@@ -1,12 +1,16 @@
 import json
 import math
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import explosive_series
 
 from vardiag import (
     Autocorrelations,
     Autocovariances,
+    InvalidModel,
     McConfig,
     ReplicateFailure,
     SingularDesign,
@@ -210,6 +214,18 @@ class TestMcTest:
         assert parsed["master_seed"] == 7
         assert parsed["lags"][0]["lag"] == 2
         assert "workers" not in parsed and "timing" not in parsed
+
+    def test_report_json_bytes_are_pinned(self):
+        data = simulate(catalog("phi1"), 80, derive_seed(5, 0))
+        report = mc_test(data, 1, McConfig(replicates=19, master_seed=3, lags=(2, 4)))
+        pinned = Path(__file__).parent / "data" / "mc_report.json"
+        assert report.to_json() + "\n" == pinned.read_text()
+        assert json.dumps(asdict(report), sort_keys=True, indent=2) == report.to_json()
+
+    def test_explosive_fit_is_refused(self):
+        # the fitted VAR(1) has spectral radius 1.053: no stationary null exists
+        with pytest.raises(InvalidModel, match=r"radius 1\.053"):
+            mc_test(explosive_series(), 1, McConfig(replicates=19, lags=(3,)))
 
     def test_replicate_failure_after_retries(self, monkeypatch):
         import vardiag.montecarlo as mc

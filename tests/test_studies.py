@@ -1,5 +1,9 @@
 import json
+from pathlib import Path
 
+import pytest
+
+import vardiag.studies as studies
 from vardiag import power_study, size_study
 
 
@@ -65,3 +69,25 @@ class TestPowerStudy:
         table = result.format_table()
         assert "power-study" in table
         assert "gv@60" in table and "q_modified@60" in table
+
+
+class TestStudyArguments:
+    @pytest.mark.parametrize("study", [size_study, power_study])
+    @pytest.mark.parametrize("bad", [dict(trials=0), dict(replicates=5),
+                                     dict(workers=0), dict(workers=-1)])
+    def test_rejected_before_any_trial_runs(self, monkeypatch, study, bad):
+        def no_trials(*args):
+            raise AssertionError("trials ran before the arguments were checked")
+
+        monkeypatch.setattr(studies, "_run_trials", no_trials)
+        kwargs = {**dict(ns=(60,), lags=(3,), trials=4, replicates=19), **bad}
+        with pytest.raises(ValueError):
+            study(**kwargs)
+
+
+class TestStudyJson:
+    def test_power_study_json_bytes_are_pinned(self):
+        result = power_study(models=("model5",), ns=(60,), lags=(3, 30), trials=4,
+                             replicates=19, master_seed=5)
+        pinned = Path(__file__).parent / "data" / "power_study.json"
+        assert result.to_json() + "\n" == pinned.read_text()
