@@ -22,7 +22,7 @@ from .csvio import CsvTable, read_csv, write_csv
 from .errors import UnknownModel, VardiagError
 from .estimate import fit_var
 from .montecarlo import McConfig, derive_seed, evaluate_statistics, mc_test
-from .studies import power_study, size_study
+from .studies import check_study_args, power_study, size_study
 from .varma import CATALOG_NAMES, VarmaModel, catalog, simulate
 
 _STAT_NAMES = {"gv": "gv", "q": "q_classic", "qtilde": "q_modified"}
@@ -204,17 +204,22 @@ def _cmd_test(args, argv) -> int:
     return 0
 
 
+def _check_study_flags(command: str, args) -> None:
+    # checked before any trial runs, so errors raised by trials keep their own exit code
+    try:
+        check_study_args(args.trials, args.reps, args.workers)
+    except ValueError as err:
+        raise _UsageError(f"vardiag {command}: {err}") from None
+
+
 def _cmd_size_study(args, argv) -> int:
     start = time.perf_counter()
-    try:
-        result = size_study(
-            models=_name_list(args.phi), ns=_int_list(args.n, "--n"),
-            lags=_int_list(args.lags, "--lags"), trials=args.trials,
-            replicates=args.reps, master_seed=args.seed, method=args.method,
-            workers=args.workers)
-    except ValueError as err:
-        # a study simulates its own data, so only a flag can be out of range
-        raise _UsageError(f"vardiag size-study: {err}") from None
+    _check_study_flags("size-study", args)
+    result = size_study(
+        models=_name_list(args.phi), ns=_int_list(args.n, "--n"),
+        lags=_int_list(args.lags, "--lags"), trials=args.trials,
+        replicates=args.reps, master_seed=args.seed, method=args.method,
+        workers=args.workers)
     print(result.format_table())
     if args.out:
         _write_json(args.out, _document("size-study", argv, args.seed,
@@ -225,14 +230,12 @@ def _cmd_size_study(args, argv) -> int:
 
 def _cmd_power_study(args, argv) -> int:
     start = time.perf_counter()
-    try:
-        result = power_study(
-            models=_name_list(args.model), ns=_int_list(args.n, "--n"),
-            lags=_int_list(args.lags, "--lags"), trials=args.trials,
-            replicates=args.reps, master_seed=args.seed,
-            fit_order=args.fit_order, workers=args.workers)
-    except ValueError as err:
-        raise _UsageError(f"vardiag power-study: {err}") from None
+    _check_study_flags("power-study", args)
+    result = power_study(
+        models=_name_list(args.model), ns=_int_list(args.n, "--n"),
+        lags=_int_list(args.lags, "--lags"), trials=args.trials,
+        replicates=args.reps, master_seed=args.seed,
+        fit_order=args.fit_order, workers=args.workers)
     print(result.format_table())
     if args.out:
         _write_json(args.out, _document("power-study", argv, args.seed,

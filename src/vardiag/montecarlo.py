@@ -44,7 +44,7 @@ from .errors import (
 )
 from .estimate import FittedVar, fit_var, implied_mean
 from .linalg import cholesky_lower
-from .varma import VarmaModel, burn_in_length, innovation_recursion, validate_model
+from .varma import burn_in_length, innovation_recursion, polynomial_radius
 
 STATISTICS = ("gv", "q_classic", "q_modified")
 INNOVATION_MODES = ("gaussian", "bootstrap")
@@ -285,11 +285,11 @@ def _run_replicates(plan: _ReplicatePlan, n_reps: int, workers: int) -> list:
 
 def _build_plan(fitted: FittedVar, n: int, config: McConfig, statistics) -> _ReplicatePlan:
     # The null is simulated from the fitted model, so it must be stationary.
-    check = validate_model(VarmaModel(phi=fitted.phi_hat, innov_cov=fitted.gamma0_hat))
-    if not check.stationary:
+    stationary, radius = polynomial_radius(fitted.phi_hat)
+    if not stationary:
         raise InvalidModel(
             f"fitted VAR({fitted.order}) is not stationary (AR spectral radius "
-            f"{check.spectral_radius_ar:.6f}); its Monte-Carlo null cannot be simulated")
+            f"{radius:.6f}); its Monte-Carlo null cannot be simulated")
     if config.innovations == "bootstrap":
         pool = fitted.residuals - fitted.residuals.mean(axis=0)
         innov_chol = None

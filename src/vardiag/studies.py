@@ -173,16 +173,23 @@ def _run_trials(task_fn, task_args, workers: int) -> list:
     return _pool_map(task_fn, task_args, workers, chunksize)
 
 
-def _run_study(kind, trial_fn, task_tail, order, columns, models, ns, lags,
-               trials, replicates, master_seed, workers) -> StudyResult:
-    """Run ``trial_fn`` on every trial of every (model, n) stratum and tabulate.
-
-    Each task is ``(name, n, trial, master_seed, lags, replicates, *task_tail)``.
-    """
+def check_study_args(trials: int, replicates: int, workers: int) -> None:
+    """Raise ``ValueError`` for a trial count, replicate count or worker count out of range."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     # the replicate and worker bounds of a single test
     McConfig(replicates=replicates, workers=workers)
+
+
+def _run_study(kind, trial_fn, columns, task_tail, *, models, ns, lags,
+               trials, replicates, master_seed, workers) -> StudyResult:
+    """Run ``trial_fn`` on every trial of every (model, n) stratum and tabulate.
+
+    Each task is ``(name, n, trial, master_seed, lags, replicates, *task_tail)``;
+    the last element of ``task_tail`` is the fitted VAR order.
+    """
+    check_study_args(trials, replicates, workers)
+    order = task_tail[-1]
     per_stratum = {}
     skipped = []
     for name in models:
@@ -221,8 +228,9 @@ def size_study(models=("phi1", "phi2", "phi3", "phi4"), ns=(100, 200, 500),
     if method not in ("mc", "chi2", "both"):
         raise ValueError("method must be 'mc', 'chi2' or 'both'")
     columns = {"mc": ("mc",), "chi2": ("chi2",), "both": _SIZE_COLUMNS}[method]
-    return _run_study("size-study", _size_trial, (method, 1), 1, columns, models, ns,
-                      lags, trials, replicates, master_seed, workers)
+    return _run_study("size-study", _size_trial, columns, (method, 1), models=models,
+                      ns=ns, lags=lags, trials=trials, replicates=replicates,
+                      master_seed=master_seed, workers=workers)
 
 
 def power_study(models=tuple(f"model{i}" for i in range(1, 9)), ns=(50, 100, 200),
@@ -236,6 +244,6 @@ def power_study(models=tuple(f"model{i}" for i in range(1, 9)), ns=(50, 100, 200
     generalized-variance statistic and the modified classical statistic
     against the same replicate set.
     """
-    return _run_study("power-study", _power_trial, (fit_order,), fit_order,
-                      _POWER_COLUMNS, models, ns, lags, trials, replicates,
-                      master_seed, workers)
+    return _run_study("power-study", _power_trial, _POWER_COLUMNS, (fit_order,),
+                      models=models, ns=ns, lags=lags, trials=trials,
+                      replicates=replicates, master_seed=master_seed, workers=workers)

@@ -11,7 +11,6 @@ this convention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,8 +21,6 @@ from .linalg import cholesky_lower
 
 #: Stationarity/invertibility margin: spectral radius must stay below 1 - this.
 STATIONARITY_MARGIN = 1e-6
-
-_GELFAND_SQUARINGS = 6
 
 
 @dataclass
@@ -91,7 +88,7 @@ class VarmaModel:
 
 @dataclass(frozen=True)
 class ModelCheck:
-    """Stationarity/invertibility verdict with spectral-radius estimates."""
+    """Stationarity/invertibility verdict with the spectral radii behind it."""
 
     stationary: bool
     invertible: bool
@@ -113,42 +110,27 @@ def companion_matrix(mats: Sequence[np.ndarray]) -> np.ndarray:
     return comp
 
 
-def spectral_radius(mat: np.ndarray, squarings: int = _GELFAND_SQUARINGS) -> float:
-    """Spectral radius estimate by Gelfand's formula with repeated squaring.
+def polynomial_radius(mats: Sequence[np.ndarray]) -> tuple:
+    """``(inside, radius)`` for the matrix polynomial I - m1 B - ... - ms B^s.
 
-    Computes ||A^(2^j)||_F ** (1 / 2^j) with per-step normalization so that
-    neither overflow nor underflow occurs; avoids complex eigenvalue
-    computations entirely.
+    ``radius`` is the spectral radius (largest eigenvalue modulus) of its
+    companion matrix, 0 when there are no terms; ``inside`` says whether it
+    stays below ``1 - STATIONARITY_MARGIN``, i.e. whether the polynomial is
+    stationary (AR side) or invertible (MA side).
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.size == 0:
-        return 0.0
-    log_scale = 0.0
-    power = 1
-    cur = mat
-    for _ in range(squarings):
-        norm = float(np.linalg.norm(cur))
-        if norm == 0.0:
-            return 0.0
-        cur = cur / norm
-        cur = cur @ cur
-        log_scale = 2.0 * (log_scale + math.log(norm))
-        power *= 2
-    norm = float(np.linalg.norm(cur))
-    if norm == 0.0:
-        return 0.0
-    return math.exp((log_scale + math.log(norm)) / power)
+    comp = companion_matrix(mats)
+    radius = float(np.max(np.abs(np.linalg.eigvals(comp)))) if comp.size else 0.0
+    return radius < 1.0 - STATIONARITY_MARGIN, radius
 
 
 def validate_model(model: VarmaModel) -> ModelCheck:
     """Check stationarity (AR side) and invertibility (MA side) of a model."""
     if model._check is None:
-        rho_ar = spectral_radius(companion_matrix(model.phi))
-        rho_ma = spectral_radius(companion_matrix(model.theta))
-        limit = 1.0 - STATIONARITY_MARGIN
+        stationary, rho_ar = polynomial_radius(model.phi)
+        invertible, rho_ma = polynomial_radius(model.theta)
         model._check = ModelCheck(
-            stationary=rho_ar < limit,
-            invertible=rho_ma < limit,
+            stationary=stationary,
+            invertible=invertible,
             spectral_radius_ar=rho_ar,
             spectral_radius_ma=rho_ma,
         )

@@ -37,3 +37,16 @@ def explosive_series():
     for t in range(1, 60):
         out[t] = 1.05 * out[t - 1] + noise[t]
     return out
+
+
+def persistent_series():
+    """z_t = [[0.97, 0.3], [0, 0.97]] z_{t-1} + e_t, n=100: its fitted VAR(1) has radius 0.986.
+
+    The fit is non-normal, so ||phi_hat^64||_F^(1/64) overstates its radius as 1.010.
+    """
+    phi = np.array([[0.97, 0.3], [0.0, 0.97]])
+    noise = np.random.default_rng(10).standard_normal((100, 2))
+    out = np.zeros((100, 2))
+    for t in range(1, 100):
+        out[t] = phi @ out[t - 1] + noise[t]
+    return out

@@ -127,7 +127,7 @@ class TestTest:
         code = run(["test", "--input", str(path), "--order", "1", "--lags", "3",
                     "--reps", "19"])
         assert code == 2
-        assert "radius 1.053" in capsys.readouterr().err
+        assert "radius 1.05296" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = run(["test", "--input", str(tmp_path / "nope.csv"),
@@ -202,3 +202,10 @@ class TestStudies:
         small = ["--n", "60", "--lags", "3", "--trials", "2", "--reps", "19"]
         assert run([command, *small, *flags]) == 1
         assert message in capsys.readouterr().err
+
+    def test_error_inside_a_trial_keeps_its_exit_code(self, capsys):
+        # fit_var refuses the order in every trial; that is not a study-flag check
+        code = run(["power-study", "--model", "model5", "--n", "60", "--lags", "3",
+                    "--trials", "2", "--reps", "19", "--fit-order", "-1"])
+        assert code == 2
+        assert "usage" not in capsys.readouterr().err

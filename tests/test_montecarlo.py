@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import explosive_series
+from reference import explosive_series, persistent_series
 
 from vardiag import (
     Autocorrelations,
@@ -224,8 +224,15 @@ class TestMcTest:
 
     def test_explosive_fit_is_refused(self):
         # the fitted VAR(1) has spectral radius 1.053: no stationary null exists
-        with pytest.raises(InvalidModel, match=r"radius 1\.053"):
+        with pytest.raises(InvalidModel, match=r"radius 1\.05296"):
             mc_test(explosive_series(), 1, McConfig(replicates=19, lags=(3,)))
+
+    def test_persistent_non_normal_fit_is_accepted(self):
+        series = persistent_series()
+        radius = max(abs(np.linalg.eigvals(fit_var(series, 1).phi_hat[0])))
+        assert 0.98 < radius < 0.99
+        report = mc_test(series, 1, McConfig(replicates=19, lags=(3,)))
+        assert 0.0 < report.lags[0].p_value <= 1.0
 
     def test_replicate_failure_after_retries(self, monkeypatch):
         import vardiag.montecarlo as mc

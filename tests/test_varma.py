@@ -59,6 +59,16 @@ class TestValidate:
         assert check.stationary
         assert abs(check.spectral_radius_ar - math.sqrt(0.33)) < 0.02
 
+    def test_radius_is_exact_for_non_normal_and_repeated_roots(self):
+        # non-normal and repeated-root companions: a power-norm estimate overstates both by >1.5%
+        jordan = VarmaModel(phi=([[0.97, 0.3], [0.0, 0.97]],), innov_cov=np.eye(2))
+        assert validate_model(jordan).stationary
+        assert abs(validate_model(jordan).spectral_radius_ar - 0.97) < 1e-12
+        # AR(2) with a double root at 0.95: (1 - 0.95 B)^2
+        double = scalar_model(phi=(1.9, -0.9025))
+        assert validate_model(double).stationary
+        assert abs(validate_model(double).spectral_radius_ar - 0.95) < 1e-6
+
     def test_pure_ma_side(self):
         check = validate_model(catalog("model5"))
         assert check.spectral_radius_ar == 0.0
