@@ -52,6 +52,12 @@ def _name_list(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _check_flag(command: str, flag: str, value: int, least: int) -> None:
+    # runs before any work, so an error raised by the work itself keeps exit 2
+    if value < least:
+        raise _UsageError(f"vardiag {command}: {flag} must be at least {least}, got {value}")
+
+
 def _load_model(spec: str) -> VarmaModel:
     if spec in CATALOG_NAMES:
         return catalog(spec)
@@ -89,6 +95,7 @@ def _write_json(path, document: dict) -> None:
 
 def _cmd_simulate(args, argv) -> int:
     start = time.perf_counter()
+    _check_flag("simulate", "--n", args.n, 1)
     model = _load_model(args.model)
     rng = derive_seed(args.seed, 0)
     data = simulate(model, args.n, rng)
@@ -105,6 +112,7 @@ def _cmd_simulate(args, argv) -> int:
 
 def _cmd_fit(args, argv) -> int:
     start = time.perf_counter()
+    _check_flag("fit", "--order", args.order, 0)
     table = read_csv(args.input)
     fitted = fit_var(table.values, args.order, with_intercept=not args.no_intercept)
     payload = {
@@ -148,6 +156,7 @@ def _chi2_rows(fitted, observed, stat_key, lags, order):
 
 def _cmd_test(args, argv) -> int:
     start = time.perf_counter()
+    _check_flag("test", "--order", args.order, 0)
     if args.method == "chi2" and args.transform != "none":
         # the chi-square degrees of freedom hold for raw residuals only
         raise _UsageError(f"vardiag test: --transform {args.transform} needs --method mc")
@@ -231,6 +240,7 @@ def _cmd_size_study(args, argv) -> int:
 def _cmd_power_study(args, argv) -> int:
     start = time.perf_counter()
     _check_study_flags("power-study", args)
+    _check_flag("power-study", "--fit-order", args.fit_order, 0)
     result = power_study(
         models=_name_list(args.model), ns=_int_list(args.n, "--n"),
         lags=_int_list(args.lags, "--lags"), trials=args.trials,

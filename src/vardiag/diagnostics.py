@@ -16,19 +16,29 @@ The classical portmanteau statistic is computed once, from the trace of
 G_l' G_0^{-1} G_l G_0^{-1} at each lag.  It equals the quadratic form in the
 row-stacked autocorrelation matrices under every mode; the test suite keeps
 that Kronecker form as its reference and checks the equality numerically.
+
+``sample_acov``, ``racf``, ``gv_decompose``, ``block_toeplitz`` and
+``residual_transform`` also accept a stack of residual series of shape
+``(..., n, k)``; every matrix they return then keeps the stack's leading axes,
+and each series gets the same numbers it would get alone.  A numeric error in
+any series of a stack fails the whole call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateResiduals, NotPositiveDefinite
-from .linalg import cholesky_lower, log_det_spd, spd_inverse
+from .linalg import _cross, cholesky_lower, log_det_spd, spd_inverse
 
 RACF_MODES = ("hosking", "li_mcleod", "chitturi")
+# Block-Toeplitz floats assembled and factored at once (256 KiB): a stack is
+# factored in row slices of this size, which bounds the memory it needs.
+_FACTOR_FLOATS = 2 ** 15
 Q_VARIANTS = ("classic", "modified")
 TRANSFORMS = ("identity", "square", "abs")
 
@@ -39,7 +49,8 @@ class Autocovariances:
 
     Lag l is the biased estimate (normalized by the sample size, not by the
     number of summands), which keeps the implied block-Toeplitz arrays
-    positive semidefinite.
+    positive semidefinite.  For a stack of residual series each lag's entry
+    is a ``(..., k, k)`` stack.
     """
 
     values: tuple
@@ -47,7 +58,7 @@ class Autocovariances:
 
     @property
     def k(self) -> int:
-        return self.values[0].shape[0]
+        return self.values[0].shape[-1]
 
     @property
     def max_lag(self) -> int:
@@ -64,7 +75,7 @@ class Autocorrelations:
 
     @property
     def k(self) -> int:
-        return self.values[0].shape[0]
+        return self.values[0].shape[-1]
 
     @property
     def max_lag(self) -> int:
@@ -79,7 +90,8 @@ class GvDecomposition:
     order-l linear predictor of the standardized residuals; ``eta_sq[l-1]`` is
     the proportion of generalized variance that predictor accounts for.  The
     product of the step determinants equals the determinant of the full
-    block-Toeplitz correlation matrix.
+    block-Toeplitz correlation matrix.  For a stack each entry is an array
+    over the stack's leading axes.
     """
 
     eta_sq: tuple
@@ -89,12 +101,14 @@ class GvDecomposition:
 def sample_acov(residuals, m: int) -> Autocovariances:
     """Biased residual autocovariance matrices for lags 0..m.
 
+    ``residuals`` is one ``(n, k)`` series or a stack of shape ``(..., n, k)``.
+
     Raises
     ------
     DegenerateResiduals
         When the residuals are too short for ``m`` (requires
         ``n_eff > (m + 1) * k``) or their lag-0 covariance is not positive
-        definite (zero or constant residuals).
+        definite (zero or constant residuals), in any series of a stack.
     """
     resid = np.asarray(residuals, dtype=float)
     if resid.ndim == 1:
@@ -103,13 +117,13 @@ def sample_acov(residuals, m: int) -> Autocovariances:
         raise ValueError("m must be at least 1")
     if not np.isfinite(resid).all():
         raise DegenerateResiduals("residuals contain non-finite values")
-    n, k = resid.shape
+    n, k = resid.shape[-2:]
     if n <= (m + 1) * k:
         raise DegenerateResiduals(
             f"need n_eff > (m + 1)*k for lag {m} (n_eff={n}, k={k})")
-    gamma = [resid.T @ resid / n]
+    gamma = [_cross(resid, resid) / n]
     for lag in range(1, m + 1):
-        gamma.append(resid[lag:].T @ resid[:-lag] / n)
+        gamma.append(_cross(resid[..., lag:, :], resid[..., :-lag, :]) / n)
     try:
         cholesky_lower(gamma[0])
     except NotPositiveDefinite:
@@ -119,32 +133,32 @@ def sample_acov(residuals, m: int) -> Autocovariances:
 
 
 def racf(acf: Autocovariances, mode: str = "hosking") -> Autocorrelations:
-    """Residual autocorrelation matrices under the requested standardization."""
+    """Residual autocorrelation matrices under the requested standardization.
+
+    Autocovariances of a stack of series give a stack per lag.
+    """
     if mode not in RACF_MODES:
         raise ValueError(f"mode must be one of {RACF_MODES}, got {mode!r}")
-    gamma = acf.values
+    gamma = np.stack(acf.values, axis=-3)
     if mode == "hosking":
-        g0_inv = spd_inverse(gamma[0])
-        lhat = cholesky_lower(g0_inv)
-        values = tuple(lhat.T @ g @ lhat for g in gamma)
+        g0_inv = spd_inverse(gamma[..., 0, :, :])
+        lhat = cholesky_lower(g0_inv)[..., None, :, :]
+        values = _cross(lhat, gamma) @ lhat
     elif mode == "li_mcleod":
-        scale = np.sqrt(np.diag(gamma[0]))
-        denom = np.outer(scale, scale)
-        values = tuple(g / denom for g in gamma)
+        scale = np.sqrt(np.diagonal(gamma[..., 0, :, :], axis1=-2, axis2=-1))
+        values = gamma / (scale[..., None, :, None] * scale[..., None, None, :])
     else:  # chitturi
-        g0_inv = spd_inverse(gamma[0])
-        values = (np.eye(acf.k),) + tuple(g @ g0_inv for g in gamma[1:])
-    return Autocorrelations(mode, values, acf)
+        g0_inv = spd_inverse(gamma[..., 0, :, :])
+        values = gamma @ g0_inv[..., None, :, :]
+        values[..., 0, :, :] = np.eye(acf.k)
+    return Autocorrelations(mode, tuple(np.moveaxis(values, -3, 0)), acf)
 
 
 def _q_lag_terms(acf: Autocovariances, m: int) -> np.ndarray:
-    """Trace-form per-lag contributions tr(G_l' G0inv G_l G0inv)."""
-    g0_inv = spd_inverse(acf.values[0])
-    terms = np.empty(m)
-    for lag in range(1, m + 1):
-        g = acf.values[lag]
-        terms[lag - 1] = float(np.trace(g.T @ g0_inv @ g @ g0_inv))
-    return terms
+    """Trace-form per-lag contributions tr(G_l' G0inv G_l G0inv), shape ``(..., m)``."""
+    g0_inv = spd_inverse(acf.values[0])[..., None, :, :]
+    g = np.stack(acf.values[1:m + 1], axis=-3)
+    return np.trace(_cross(g, g0_inv) @ g @ g0_inv, axis1=-2, axis2=-1)
 
 
 def _q_weights(n: int, m: int, variant: str) -> np.ndarray:
@@ -177,13 +191,25 @@ def portmanteau_q(acf: Autocovariances, m: int, variant: str = "classic") -> flo
     return float(_q_weights(acf.n_eff, m, variant) @ _q_lag_terms(acf, m))
 
 
-def _assemble_block_toeplitz(values: tuple, m: int, k: int) -> np.ndarray:
-    # Block (i, j) is entry (j - i) mod (2m + 1) of [I, R_1..R_m, R_m'..R_1'].
-    blocks = np.stack([np.eye(k), *values[1:m + 1],
-                       *(r.T for r in reversed(values[1:m + 1]))])
+@functools.lru_cache(maxsize=32)
+def _block_toeplitz_index(m: int, k: int) -> np.ndarray:
+    """Position of each block-Toeplitz entry in the flattened [I, R_1..R_m, R_m'..R_1']."""
+    # Block (i, j) is entry (j - i) mod (2m + 1) of that sequence.
     lag = np.arange(m + 1)
-    big = blocks[(lag[None, :] - lag[:, None]) % (2 * m + 1)]
-    return big.transpose(0, 2, 1, 3).reshape((m + 1) * k, (m + 1) * k)
+    which = (lag[None, :] - lag[:, None]) % (2 * m + 1)
+    within = np.arange(k)
+    index = ((which[:, None, :, None] * k + within[:, None, None]) * k + within)
+    index = index.reshape((m + 1) * k, (m + 1) * k)
+    index.flags.writeable = False
+    return index
+
+
+def _assemble_block_toeplitz(values: np.ndarray) -> np.ndarray:
+    """Block-Toeplitz matrices from autocorrelations R_0..R_m of shape ``(..., m + 1, k, k)``."""
+    *batch, lags, k, _ = values.shape
+    blocks = np.concatenate([np.broadcast_to(np.eye(k), (*batch, 1, k, k)), values[..., 1:, :, :],
+                             np.swapaxes(values[..., :0:-1, :, :], -1, -2)], axis=-3)
+    return np.take(blocks.reshape(*batch, -1), _block_toeplitz_index(lags - 1, k), axis=-1)
 
 
 def block_toeplitz(racfs: Autocorrelations, m: int) -> np.ndarray:
@@ -192,13 +218,14 @@ def block_toeplitz(racfs: Autocorrelations, m: int) -> np.ndarray:
     Block (i, j) above the diagonal is the lag-(j - i) autocorrelation
     matrix, diagonal blocks are the identity, and blocks below the diagonal
     are transposes.  Requires hosking-standardized autocorrelations, which
-    define the generalized-variance statistic.
+    define the generalized-variance statistic.  Autocorrelations of a stack
+    give a ``(..., (m + 1) k, (m + 1) k)`` stack.
     """
     if racfs.mode != "hosking":
         raise ValueError("block_toeplitz requires hosking-standardized autocorrelations")
     if m < 0 or m > racfs.max_lag:
         raise ValueError(f"m must be within 0..{racfs.max_lag}, got {m}")
-    return _assemble_block_toeplitz(racfs.values, m, racfs.k)
+    return _assemble_block_toeplitz(np.stack(racfs.values[:m + 1], axis=-3))
 
 
 def gv_stat(racfs: Autocorrelations, m: int, n_eff: int) -> float:
@@ -222,15 +249,25 @@ def gv_decompose(racfs: Autocorrelations, m: int) -> GvDecomposition:
     The leading blocks of the Cholesky factor of the order-m block-Toeplitz
     matrix T_m factor every T_l, so the squared pivots of block l multiply to
     det(T_l) / det(T_{l-1}), the order-l predictor's step determinant.  Raises
-    :class:`NotPositiveDefinite` exactly when ``gv_stat`` at lag m is ``+inf``.
+    :class:`NotPositiveDefinite` exactly when ``gv_stat`` at lag m is ``+inf``;
+    on a stack, when that holds for any member.  A stack is assembled and
+    factored in row slices of at most ``_FACTOR_FLOATS`` floats.
     """
     if racfs.mode != "hosking":
         raise ValueError("gv_decompose requires hosking-standardized autocorrelations")
     if not 1 <= m <= racfs.max_lag:
         raise ValueError(f"m must be within 1..{racfs.max_lag}, got {m}")
-    pivots_sq = np.diag(cholesky_lower(block_toeplitz(racfs, m))) ** 2
-    step_dets = pivots_sq.reshape(m + 1, racfs.k).prod(axis=1)[1:]
-    return GvDecomposition(tuple((1.0 - step_dets).tolist()), tuple(step_dets.tolist()))
+    k = racfs.k
+    values = np.stack(racfs.values[:m + 1], axis=-3)
+    rows = values.reshape(-1, m + 1, k, k)
+    step = max(1, _FACTOR_FLOATS // ((m + 1) * k) ** 2)
+    # squaring copies each slice's pivots, so its factor is freed before the next slice
+    pivots_sq = np.concatenate([
+        np.diagonal(cholesky_lower(_assemble_block_toeplitz(rows[start:start + step])),
+                    axis1=-2, axis2=-1) ** 2
+        for start in range(0, rows.shape[0], step)]).reshape(*values.shape[:-3], m + 1, k)
+    step_dets = np.moveaxis(pivots_sq.prod(axis=-1)[..., 1:], -1, 0)
+    return GvDecomposition(tuple(1.0 - step_dets), tuple(step_dets))
 
 
 def residual_transform(residuals, kind: str = "identity") -> np.ndarray:
@@ -238,7 +275,8 @@ def residual_transform(residuals, kind: str = "identity") -> np.ndarray:
 
     Squared or absolute residuals have nonzero means, which would corrupt the
     autocovariances, so both transforms subtract the column means; the
-    identity transform returns the input unchanged.
+    identity transform returns the input unchanged.  A stack of shape
+    ``(..., n, k)`` is centered series by series.
     """
     if kind not in TRANSFORMS:
         raise ValueError(f"kind must be one of {TRANSFORMS}, got {kind!r}")
@@ -246,4 +284,4 @@ def residual_transform(residuals, kind: str = "identity") -> np.ndarray:
     if kind == "identity":
         return resid
     work = resid ** 2 if kind == "square" else np.abs(resid)
-    return work - work.mean(axis=0)
+    return work - work.mean(axis=-2, keepdims=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite, SingularDesign, TooShort
-from .linalg import cholesky_lower
+from .linalg import _cross, cholesky_lower
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,8 @@ class FittedVar:
     """Result of a least-squares VAR fit.
 
     ``residuals`` has ``n - order`` rows; ``gamma0_hat`` is the residual
-    covariance averaged over that effective sample size.
+    covariance averaged over that effective sample size.  A fit of a stack
+    of series keeps the stack's leading axes on every array.
     """
 
     order: int
@@ -31,19 +32,20 @@ class FittedVar:
 
     @property
     def k(self) -> int:
-        return self.residuals.shape[1]
+        return self.residuals.shape[-1]
 
     @property
     def n_eff(self) -> int:
-        return self.residuals.shape[0]
+        return self.residuals.shape[-2]
 
 
 def _as_series(series) -> np.ndarray:
     values = np.asarray(series, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
-    if values.ndim != 2 or values.shape[0] < 1:
-        raise ValueError(f"series must be a 2-D (n, k) array, got shape {values.shape}")
+    if values.ndim < 2 or values.shape[-2] < 1:
+        raise ValueError(f"series must be an (n, k) array or a stack of them, "
+                         f"got shape {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("series contains non-finite values")
     return values
@@ -54,8 +56,11 @@ def fit_var(series, p: int, with_intercept: bool = True) -> FittedVar:
 
     Parameters
     ----------
-    series : (n, k) array_like
-        Observations, one row per time point.
+    series : (n, k) array_like, or a stack of shape (..., n, k)
+        Observations, one row per time point.  A stack is fitted series by
+        series in one call; every array of the result keeps its leading
+        axes (``phi_hat`` matrices are ``(..., k, k)``), and an error in
+        any series fails the call.
     p : int
         Autoregressive order, ``p >= 0``.
     with_intercept : bool
@@ -71,7 +76,7 @@ def fit_var(series, p: int, with_intercept: bool = True) -> FittedVar:
         When the regressor Gram matrix is not positive definite.
     """
     values = _as_series(series)
-    n, k = values.shape
+    n, k = values.shape[-2:]
     if p < 0:
         raise ValueError("order must be nonnegative")
     if n - p <= k * p + 1:
@@ -79,33 +84,33 @@ def fit_var(series, p: int, with_intercept: bool = True) -> FittedVar:
             f"need n - p > k*p + 1 observations (n={n}, p={p}, k={k})")
 
     if p == 0:
-        intercept = values.mean(axis=0) if with_intercept else np.zeros(k)
-        residuals = values - intercept
-        gamma0 = residuals.T @ residuals / n
+        intercept = values.mean(axis=-2) if with_intercept else np.zeros(values.shape[:-2] + (k,))
+        residuals = values - intercept[..., None, :]
+        gamma0 = _cross(residuals, residuals) / n
         return FittedVar(0, (), intercept, with_intercept, residuals, gamma0)
 
-    target = values[p:]
+    target = values[..., p:, :]
     blocks = []
     if with_intercept:
-        blocks.append(np.ones((n - p, 1)))
+        blocks.append(np.ones(values.shape[:-2] + (n - p, 1)))
     for lag in range(1, p + 1):
-        blocks.append(values[p - lag:n - lag])
-    design = np.hstack(blocks)
+        blocks.append(values[..., p - lag:n - lag, :])
+    design = np.concatenate(blocks, axis=-1)
 
-    gram = design.T @ design
-    rhs = design.T @ target
+    gram = _cross(design, design)
+    rhs = _cross(design, target)
     try:
         lower = cholesky_lower(gram)
     except NotPositiveDefinite as exc:
         raise SingularDesign(f"regressor Gram matrix is singular: {exc}") from None
-    coef = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+    coef = np.linalg.solve(np.swapaxes(lower, -1, -2), np.linalg.solve(lower, rhs))
 
     offset = 1 if with_intercept else 0
-    intercept = coef[0] if with_intercept else np.zeros(k)
-    phi_hat = tuple(
-        coef[offset + (lag - 1) * k:offset + lag * k].T for lag in range(1, p + 1))
+    intercept = coef[..., 0, :] if with_intercept else np.zeros(values.shape[:-2] + (k,))
+    phi_hat = tuple(np.swapaxes(coef[..., offset + (lag - 1) * k:offset + lag * k, :], -1, -2)
+                    for lag in range(1, p + 1))
     residuals = target - design @ coef
-    gamma0 = residuals.T @ residuals / (n - p)
+    gamma0 = _cross(residuals, residuals) / (n - p)
     return FittedVar(p, phi_hat, intercept, with_intercept, residuals, gamma0)
 
 

@@ -2,6 +2,9 @@
 
 All routines operate on plain float64 numpy arrays.  Problem sizes here are
 at most a few hundred rows, so everything is dense and unstructured.
+``cholesky_lower`` and ``spd_inverse`` also accept a stack of matrices of
+shape ``(..., n, n)``; every check applies to each matrix on its own, and the
+stack is refused as a whole if any member fails.
 """
 
 from __future__ import annotations
@@ -15,8 +18,17 @@ PIVOT_RTOL = 1e-12
 
 
 def _require_square(a: np.ndarray) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    return np.diagonal(a, axis1=-2, axis2=-1)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a' b`` for each matrix of two stacks."""
+    return np.swapaxes(a, -1, -2) @ b
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
@@ -24,19 +36,23 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
 
     Raises :class:`NotPositiveDefinite` when any pivot falls at or below
     ``PIVOT_RTOL * max(diag(a))``, which flags singular or indefinite input
-    rather than double-precision rounding.
+    rather than double-precision rounding.  On a stack of shape
+    ``(..., n, n)`` the symmetry test and the pivot floor use each matrix's
+    own scale, and one failing member fails the whole call.
     """
     a = np.asarray(a, dtype=float)
     _require_square(a)
-    scale = np.abs(a).max() if a.size else 0.0
-    if scale > 0.0 and np.abs(a - a.T).max() > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
+    if a.size:
+        scale = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
+        # a - a' is antisymmetric, so its largest entry is its largest magnitude
+        if ((a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1)) > 1e-10 * scale).any():
+            raise ValueError("matrix is not symmetric")
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("matrix is not positive definite") from None
-    floor = PIVOT_RTOL * max(float(np.diag(a).max()), 0.0)
-    if (np.diag(lower) ** 2 <= floor).any():
+    floor = PIVOT_RTOL * np.maximum(_diagonal(a).max(axis=-1), 0.0)
+    if (_diagonal(lower) ** 2 <= floor[..., None]).any():
         raise NotPositiveDefinite("pivot at or below relative tolerance floor")
     return lower
 
@@ -48,11 +64,11 @@ def log_det_spd(a: np.ndarray) -> float:
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky.
+    """Inverse of a symmetric positive definite matrix, or of each in a stack, via Cholesky.
 
     The result is symmetrized exactly so downstream code can rely on it.
     """
     lower = cholesky_lower(a)
-    lower_inv = np.linalg.solve(lower, np.eye(lower.shape[0]))
-    inv = lower_inv.T @ lower_inv
-    return (inv + inv.T) / 2.0
+    lower_inv = np.linalg.solve(lower, np.eye(lower.shape[-1]))
+    inv = _cross(lower_inv, lower_inv)
+    return (inv + np.swapaxes(inv, -1, -2)) / 2.0

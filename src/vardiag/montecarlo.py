@@ -8,8 +8,15 @@ rescores.  The p-value at each lag is the add-one exceedance proportion
 
 Replicates are seeded individually from a 64-bit mix of (master seed,
 replicate index, attempt), so the report is identical whatever the worker
-count; aggregation is a commutative exceedance count.  Replicates are
-simulated in fixed index chunks through one stacked VAR recursion, so results
+count; aggregation is a commutative exceedance count.
+
+Replicates run in fixed index chunks of ``_CHUNK``.  A chunk's first attempts
+are simulated through one stacked VAR recursion, then refitted and scored as
+one stack: ``fit_var``, ``sample_acov``, ``racf``, the block-Toeplitz Cholesky
+and the Q terms each run once per chunk.  If a numeric error stops the
+stacked scoring, the chunk is rescored row by row and each failing row is
+redrawn on its own, so the retry and non-PD rules are those of a single
+replicate.  Chunk boundaries depend on the replicate index only, so results
 still do not depend on the worker count.
 """
 
@@ -165,35 +172,44 @@ def margin_of_error(p: float, n_reps: int) -> float:
 
 
 def _gv_row(rs, lags, n_eff: int) -> np.ndarray:
-    """gv at each lag from one factor; lag by lag only if the largest is not PD."""
+    """gv at each lag from one factor; lag by lag only if the largest is not PD.
+
+    On a stack, a member that is not PD fails the call, and the caller
+    rescores the stack row by row.
+    """
     try:
-        step_dets = gv_decompose(rs, max(lags)).step_dets
+        step_dets = np.stack(gv_decompose(rs, max(lags)).step_dets, axis=-1)
     except NotPositiveDefinite:
+        if rs.values[0].ndim > 2:
+            raise
         return np.array([gv_stat(rs, lag, n_eff) for lag in lags])
-    partial = -n_eff * np.cumsum(np.log(step_dets))
-    return partial[np.asarray(lags) - 1]
+    partial = -n_eff * np.cumsum(np.log(step_dets), axis=-1)
+    return partial[..., np.asarray(lags) - 1]
 
 
 def evaluate_statistics(residuals, statistics, lags, transform: str = "identity") -> np.ndarray:
     """Statistic values for every (statistic, lag) pair, one row per statistic.
 
     The generalized-variance statistic is ``+inf`` at lags where the
-    block-Toeplitz correlation matrix is not positive definite.
+    block-Toeplitz correlation matrix is not positive definite.  A stack of
+    residual series of shape ``(..., n, k)`` is scored in one pass and gives
+    ``(..., statistics, lags)``; there a matrix that is not positive definite
+    raises :class:`NotPositiveDefinite` instead.
     """
     work = residual_transform(residuals, transform)
-    n_eff = work.shape[0]
+    n_eff = work.shape[-2]
     max_lag = max(lags)
     acf = sample_acov(work, max_lag)
-    out = np.empty((len(statistics), len(lags)))
+    out = np.empty(work.shape[:-2] + (len(statistics), len(lags)))
     q_terms = None
     for row, stat in enumerate(statistics):
         if stat == "gv":
-            out[row] = _gv_row(racf(acf, "hosking"), lags, n_eff)
+            out[..., row, :] = _gv_row(racf(acf, "hosking"), lags, n_eff)
         else:
             if q_terms is None:
                 q_terms = _q_lag_terms(acf, max_lag)
             weights = _q_weights(n_eff, max_lag, stat.removeprefix("q_"))
-            out[row] = np.cumsum(weights * q_terms)[np.asarray(lags) - 1]
+            out[..., row, :] = np.cumsum(weights * q_terms, axis=-1)[..., np.asarray(lags) - 1]
     return out
 
 
@@ -223,12 +239,12 @@ def _draw_innovations(plan: _ReplicatePlan, rng: np.random.Generator) -> np.ndar
 
 
 def _score_path(plan: _ReplicatePlan, path: np.ndarray) -> np.ndarray:
-    """Refit one simulated deviation path and score it."""
+    """Refit one simulated deviation path, or a stack of them, and score it."""
     if not np.isfinite(path).all():
         raise NonFinitePath(
             "simulated path is not finite (numerically explosive fitted model)")
-    sim = plan.mean + path[burn_in_length(plan.order, 0):]
-    refit = fit_var(sim, plan.order, plan.with_intercept)
+    refit = fit_var(plan.mean + path[..., burn_in_length(plan.order, 0):, :],
+                    plan.order, plan.with_intercept)
     return evaluate_statistics(refit.residuals, plan.statistics, plan.lags, plan.transform)
 
 
@@ -251,14 +267,19 @@ def _one_replicate(plan: _ReplicatePlan, index: int, first_attempt: int = 0) -> 
 
 
 def _replicate_chunk(args) -> list:
-    """First attempts of replicates start..stop-1 through one stacked recursion.
+    """First attempts of replicates start..stop-1, simulated and scored as one stack.
 
-    A row that fails is redrawn on its own from attempt 1.
+    If the stack fails, it is rescored row by row, and a row that fails is
+    redrawn on its own from attempt 1.
     """
     plan, start, stop = args
-    innovations = np.stack([_draw_innovations(plan, derive_seed(plan.master_seed, index, 0))
-                            for index in range(start, stop)])
-    paths = innovation_recursion(plan.phi, (), innovations)
+    paths = innovation_recursion(plan.phi, (), np.stack([
+        _draw_innovations(plan, derive_seed(plan.master_seed, index, 0))
+        for index in range(start, stop)]))
+    try:
+        return list(_score_path(plan, paths))
+    except _RETRIED:
+        pass
     rows = []
     for index, path in zip(range(start, stop), paths):
         try:
@@ -327,13 +348,10 @@ def mc_pvalues(series, order: int, config: McConfig, statistics=None,
     observed = evaluate_statistics(
         fitted.residuals, statistics, config.lags, config.transform)
     plan = _build_plan(fitted, series.shape[0], config, statistics)
-    replicate_stats = _run_replicates(plan, config.replicates, config.workers)
+    replicate_stats = np.array(_run_replicates(plan, config.replicates, config.workers))
 
-    exceed = np.zeros(observed.shape, dtype=int)
-    nonpd = np.zeros(observed.shape, dtype=int)
-    for stats in replicate_stats:
-        exceed += stats >= observed
-        nonpd += np.isinf(stats)
+    exceed = (replicate_stats >= observed).sum(axis=0)
+    nonpd = np.isinf(replicate_stats).sum(axis=0)
     pvals = (exceed + 1) / (config.replicates + 1)
     return fitted, observed, pvals, exceed, nonpd
 

@@ -157,6 +157,21 @@ class TestUsageErrors:
                         "--transform", transform]) == 1
             assert "--method mc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--model", "phi1", "--n", "0", "--out", "{out}"], "--n"),
+        (["fit", "--input", "{csv}", "--order", "-1", "--out", "{out}"], "--order"),
+        (["test", "--input", "{csv}", "--order", "-1", "--lags", "3", "--reps", "19",
+          "--out", "{out}"], "--order"),
+        (["power-study", "--model", "model5", "--n", "60", "--lags", "3", "--trials", "2",
+          "--reps", "19", "--fit-order", "-1", "--out", "{out}"], "--fit-order"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, argv, flag, tmp_path, white_csv, capsys):
+        out = tmp_path / "out"
+        argv = [a.format(out=out, csv=white_csv) for a in argv]
+        assert run(argv) == 1
+        assert f"vardiag {argv[0]}: {flag} must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStudies:
     def test_size_study_smoke(self, tmp_path, capsys):
@@ -204,8 +219,9 @@ class TestStudies:
         assert message in capsys.readouterr().err
 
     def test_error_inside_a_trial_keeps_its_exit_code(self, capsys):
-        # fit_var refuses the order in every trial; that is not a study-flag check
+        # fit_var finds every trial too short for the order; that is not a flag check
         code = run(["power-study", "--model", "model5", "--n", "60", "--lags", "3",
-                    "--trials", "2", "--reps", "19", "--fit-order", "-1"])
+                    "--trials", "2", "--reps", "19", "--fit-order", "30"])
         assert code == 2
-        assert "usage" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage" not in err and "need n - p > k*p + 1" in err

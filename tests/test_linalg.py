@@ -62,6 +62,56 @@ class TestCholesky:
             cholesky_lower([[1.0, 0.5], [0.0, 1.0]])
 
 
+class TestStacks:
+    """A stack is factored matrix by matrix, each against its own scale."""
+
+    def test_stack_equals_each_member(self):
+        rng = np.random.default_rng(6)
+        stack = np.stack([random_spd(rng, 5) * scale for scale in (1e-6, 1.0, 1e6)])
+        lower = cholesky_lower(stack)
+        inverse = spd_inverse(stack)
+        for member, low, inv in zip(stack, lower, inverse):
+            assert np.abs(low - cholesky_lower(member)).max() <= 1e-12 * np.abs(low).max()
+            assert np.abs(inv - spd_inverse(member)).max() <= 1e-12 * np.abs(inv).max()
+        assert (inverse == np.swapaxes(inverse, -1, -2)).all()
+
+    def test_leading_axes_are_kept(self):
+        rng = np.random.default_rng(7)
+        stack = np.stack([random_spd(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+        assert cholesky_lower(stack).shape == (2, 3, 3, 3)
+        assert spd_inverse(stack).shape == (2, 3, 3, 3)
+
+    # [[1, 1], [1, 1 + eps]] has last squared pivot eps, so its own floor is 1e-12 * (1 + eps)
+    @staticmethod
+    def _near_singular(eps, scale=1.0):
+        return scale * np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
+
+    def test_one_member_below_its_own_floor_fails_the_stack(self):
+        # the failing member is the large one: its pivot is far above the others' floors
+        stack = np.stack([np.eye(2), self._near_singular(1e-14, 1e6), 2.0 * np.eye(2)])
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_lower(stack)
+        with pytest.raises(NotPositiveDefinite):
+            spd_inverse(stack)
+        # the failing member is the small one next to members 1e6 larger
+        stack = np.stack([1e6 * np.eye(2), self._near_singular(1e-14), 1e6 * np.eye(2)])
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_lower(stack)
+
+    def test_member_above_its_own_floor_passes_beside_larger_members(self):
+        # squared pivot 1e-9 clears this member's floor but not a 1e6-larger one's
+        stack = np.stack([1e6 * np.eye(2), self._near_singular(1e-9)])
+        lower = cholesky_lower(stack)
+        assert abs(lower[1, 1, 1] ** 2 - 1e-9) < 1e-15
+
+    def test_symmetry_is_judged_per_member(self):
+        skewed = np.array([[1.0, 0.5], [0.5 + 1e-8, 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            cholesky_lower(np.stack([1e6 * np.eye(2), skewed]))
+        # the same absolute skew is rounding noise in a member of scale 1e6
+        cholesky_lower(np.stack([1e6 * np.eye(2) + (skewed - np.diag([1.0, 1.0])), np.eye(2)]))
+
+
 class TestLogDet:
     def test_identity_is_zero(self):
         for n in (1, 3, 8):

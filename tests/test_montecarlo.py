@@ -12,6 +12,7 @@ from vardiag import (
     Autocovariances,
     InvalidModel,
     McConfig,
+    NotPositiveDefinite,
     ReplicateFailure,
     SingularDesign,
     catalog,
@@ -320,7 +321,9 @@ class TestStackedReplicates:
         original = mc.fit_var
 
         def failing(series, order, with_intercept=True):
-            if np.allclose(series, first, rtol=1e-10, atol=0):
+            # a stack fails when any of its series is replicate 3's first attempt
+            rows = np.reshape(series, (-1,) + first.shape)
+            if any(np.allclose(row, first, rtol=1e-10, atol=0) for row in rows):
                 raise SingularDesign("forced failure")
             return original(series, order, with_intercept)
 
@@ -369,6 +372,46 @@ class TestStackedReplicates:
         assert _close_rows(got[4:5], [mc._one_replicate(plan, 5, first_attempt=1)])
         assert not np.allclose(got[4], clean[4])
         assert stacks == [mc._CHUNK, 39 - mc._CHUNK]
+
+    def test_non_pd_stack_is_rescored_without_redraws(self, monkeypatch):
+        import vardiag.montecarlo as mc
+
+        plan = _phi1_plan()
+        clean = [mc._one_replicate(plan, i) for i in range(1, 40)]
+        original_decompose = mc.gv_decompose
+        original_seed = mc.derive_seed
+        attempts = []
+
+        def stack_fails(rs, m):
+            if rs.values[0].ndim > 2:
+                raise NotPositiveDefinite("forced failure of a stack")
+            return original_decompose(rs, m)
+
+        def recording(master, index, attempt=0):
+            attempts.append(attempt)
+            return original_seed(master, index, attempt)
+
+        monkeypatch.setattr(mc, "gv_decompose", stack_fails)
+        monkeypatch.setattr(mc, "derive_seed", recording)
+        assert _close_rows(mc._run_replicates(plan, 39, 1), clean)
+        assert attempts == [0] * 39
+
+    def test_each_chunk_is_refitted_once(self, monkeypatch):
+        import vardiag.montecarlo as mc
+
+        original = mc.fit_var
+        shapes = []
+
+        def counting(series, order, with_intercept=True):
+            shapes.append(np.shape(series))
+            return original(series, order, with_intercept)
+
+        monkeypatch.setattr(mc, "fit_var", counting)
+        data = simulate(catalog("phi1"), 200, derive_seed(42, 0))
+        report = mc_test(data, 1, McConfig(replicates=199, master_seed=7, lags=(5, 30)))
+        assert report.lags[1].nonpd_replicates == 0
+        assert len(shapes) == 1 + math.ceil(199 / mc._CHUNK)
+        assert [s[0] for s in shapes[1:]] == [mc._CHUNK] * 6 + [7]
 
     def test_explosive_plan_fails_naming_the_path(self):
         import dataclasses
