@@ -26,7 +26,6 @@ any series of a stack fails the whole call.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -191,25 +190,18 @@ def portmanteau_q(acf: Autocovariances, m: int, variant: str = "classic") -> flo
     return float(_q_weights(acf.n_eff, m, variant) @ _q_lag_terms(acf, m))
 
 
-@functools.lru_cache(maxsize=32)
-def _block_toeplitz_index(m: int, k: int) -> np.ndarray:
-    """Position of each block-Toeplitz entry in the flattened [I, R_1..R_m, R_m'..R_1']."""
-    # Block (i, j) is entry (j - i) mod (2m + 1) of that sequence.
-    lag = np.arange(m + 1)
-    which = (lag[None, :] - lag[:, None]) % (2 * m + 1)
-    within = np.arange(k)
-    index = ((which[:, None, :, None] * k + within[:, None, None]) * k + within)
-    index = index.reshape((m + 1) * k, (m + 1) * k)
-    index.flags.writeable = False
-    return index
-
-
 def _assemble_block_toeplitz(values: np.ndarray) -> np.ndarray:
     """Block-Toeplitz matrices from autocorrelations R_0..R_m of shape ``(..., m + 1, k, k)``."""
     *batch, lags, k, _ = values.shape
-    blocks = np.concatenate([np.broadcast_to(np.eye(k), (*batch, 1, k, k)), values[..., 1:, :, :],
-                             np.swapaxes(values[..., :0:-1, :, :], -1, -2)], axis=-3)
-    return np.take(blocks.reshape(*batch, -1), _block_toeplitz_index(lags - 1, k), axis=-1)
+    blocks = np.concatenate([np.swapaxes(values[..., :0:-1, :, :], -1, -2),
+                             np.broadcast_to(np.eye(k), (*batch, 1, k, k)), values[..., 1:, :, :]],
+                            axis=-3)
+    # Block (i, j) is block m + j - i of [R_m'..R_1', I, R_1..R_m].  Flattened, its entry
+    # (a, b) sits at (m - i) k^2 + a k (a row part) plus j k^2 + b (a column part).
+    start = np.arange(lags)[:, None] * k * k
+    row = (start[::-1] + np.arange(k) * k).ravel()
+    col = (start + np.arange(k)).ravel()
+    return np.take(blocks.reshape(*batch, -1), row[:, None] + col, axis=-1)
 
 
 def block_toeplitz(racfs: Autocorrelations, m: int) -> np.ndarray:
@@ -267,6 +259,8 @@ def gv_decompose(racfs: Autocorrelations, m: int) -> GvDecomposition:
                     axis1=-2, axis2=-1) ** 2
         for start in range(0, rows.shape[0], step)]).reshape(*values.shape[:-3], m + 1, k)
     step_dets = np.moveaxis(pivots_sq.prod(axis=-1)[..., 1:], -1, 0)
+    if step_dets.ndim == 1:  # one series gives Python floats
+        return GvDecomposition(tuple((1.0 - step_dets).tolist()), tuple(step_dets.tolist()))
     return GvDecomposition(tuple(1.0 - step_dets), tuple(step_dets))
 
 

@@ -259,6 +259,11 @@ class TestGvDecompose:
         dec = gv_decompose(rs, 2)
         assert dec.eta_sq == (0.0, 0.0)
 
+    def test_one_series_gives_python_floats(self):
+        rs = synthetic_racf([np.eye(2), 0.3 * np.eye(2), 0.1 * np.eye(2)])
+        dec = gv_decompose(rs, 2)
+        assert all(type(value) is float for value in dec.eta_sq + dec.step_dets)
+
     def test_scalar_eta(self):
         acf = sample_acov(np.array([1.0, -1.0, 1.0, -1.0]), 1)
         dec = gv_decompose(racf(acf, "hosking"), 1)
