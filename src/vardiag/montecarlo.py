@@ -11,13 +11,12 @@ replicate index, attempt), so the report is identical whatever the worker
 count; aggregation is a commutative exceedance count.
 
 Replicates run in fixed index chunks of ``_CHUNK``.  A chunk's first attempts
-are simulated through one stacked VAR recursion, then refitted and scored as
-one stack: ``fit_var``, ``sample_acov``, ``racf``, the block-Toeplitz Cholesky
-and the Q terms each run once per chunk.  If a numeric error stops the
-stacked scoring, the chunk is rescored row by row and each failing row is
-redrawn on its own, so the retry and non-PD rules are those of a single
-replicate.  Chunk boundaries depend on the replicate index only, so results
-still do not depend on the worker count.
+are simulated by one doubling scan, then refitted and scored as one stack:
+``fit_var``, ``sample_acov``, ``racf``, the block-Toeplitz Cholesky and the Q
+terms each run once per chunk.  If a numeric error stops the stacked scoring,
+the chunk is rescored row by row and each failing row is redrawn on its own,
+so the retry and non-PD rules are those of a single replicate.  Chunk
+boundaries depend on the replicate index only, never on the worker count.
 """
 
 from __future__ import annotations

@@ -137,6 +137,15 @@ def validate_model(model: VarmaModel) -> ModelCheck:
     return model._check
 
 
+def _impulse_response(ar: tuple, ma: tuple, k: int, count: int) -> list:
+    """First ``count`` weights of ar(B)^{-1} ma(B), lag 0 (the identity) first."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    # path i answers a unit impulse in component i, so it is column i of every weight
+    impulses = np.eye(k, count * k).reshape(k, count, k)
+    return list(np.moveaxis(innovation_recursion(ar, ma, impulses), 0, -1))
+
+
 def ma_weights(model: VarmaModel, count: int) -> list:
     """Moving-average representation weights of the model.
 
@@ -144,30 +153,12 @@ def ma_weights(model: VarmaModel, count: int) -> list:
     phi(B)^{-1} theta(B); the leading weight is the identity and subsequent
     weights obey the convolution recursion implied by phi(B) psi(B) = theta(B).
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    k = model.k
-    psi = [np.eye(k)]
-    for j in range(1, count):
-        acc = -model.theta[j - 1] if j <= model.q else np.zeros((k, k))
-        for i in range(1, min(j, model.p) + 1):
-            acc = acc + model.phi[i - 1] @ psi[j - i]
-        psi.append(acc)
-    return psi
+    return _impulse_response(model.phi, model.theta, model.k, count)
 
 
 def inverse_ma_weights(model: VarmaModel, count: int) -> list:
     """Weights of the inverted moving-average operator theta(B)^{-1}."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    k = model.k
-    pi = [np.eye(k)]
-    for j in range(1, count):
-        acc = np.zeros((k, k))
-        for i in range(1, min(j, model.q) + 1):
-            acc = acc + model.theta[i - 1] @ pi[j - i]
-        pi.append(acc)
-    return pi
+    return _impulse_response(model.theta, (), model.k, count)
 
 
 def burn_in_length(p: int, q: int) -> int:
@@ -179,23 +170,33 @@ def innovation_recursion(phi: tuple, theta: tuple, innovations: np.ndarray) -> n
     """Run the VARMA difference equation in deviation-from-mean form.
 
     ``innovations`` is one path of shape ``(steps, k)`` or a stack of paths
-    of shape ``(..., steps, k)``; every path in a stack advances together,
-    one time step at a time, and the result has the same shape.  Pre-sample
-    states and innovations are treated as zero; callers discard an adequate
-    burn-in prefix.
+    of shape ``(..., steps, k)``, and the result has the same shape.
+    Pre-sample states and innovations are treated as zero; callers discard an
+    adequate burn-in prefix.
+
+    The MA part is q shifted subtractions.  The AR part, x_t = C x_{t-1} + u_t
+    in the companion matrix C, is a doubling scan: the pass with shift s adds
+    C^s x_{t-s}.  All states sit time-major in one (kp, steps * paths) array,
+    so each of the log2(steps) passes is one product over a block of columns.
     """
-    steps = innovations.shape[-2]
-    out = np.empty_like(innovations)
-    p = len(phi)
-    q = len(theta)
-    for t in range(steps):
-        acc = innovations[..., t, :].copy()
-        for i in range(1, min(t, p) + 1):
-            acc += out[..., t - i, :] @ phi[i - 1].T
-        for j in range(1, min(t, q) + 1):
-            acc -= innovations[..., t - j, :] @ theta[j - 1].T
-        out[..., t, :] = acc
-    return out
+    steps, k = innovations.shape[-2:]
+    u = innovations.copy()
+    for j, coef in enumerate(theta, start=1):
+        u[..., j:, :] -= innovations[..., :-j, :] @ coef.T
+    if not phi:
+        return u
+    power = companion_matrix(phi)
+    width = int(np.prod(innovations.shape[:-2]))
+    states = np.zeros((power.shape[0], steps * width))
+    states[:k].reshape(k, steps, width)[...] = u.reshape(width, steps, k).T
+    shifted = np.empty_like(states)  # one buffer reused by every pass
+    shift = 1
+    while shift < steps:
+        cols = (steps - shift) * width
+        np.matmul(power, states[:, :cols], out=shifted[:, :cols])
+        states[:, shift * width:] += shifted[:, :cols]
+        shift, power = 2 * shift, power @ power
+    return np.ascontiguousarray(states[:k].reshape(k, steps, width).T).reshape(innovations.shape)
 
 
 def simulate(model: VarmaModel, n: int, rng: np.random.Generator) -> np.ndarray:

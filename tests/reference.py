@@ -30,6 +30,25 @@ def kron_q(acf, m, variant="classic", mode="hosking"):
     return total
 
 
+def loop_recursion(phi, theta, innovations):
+    """The VARMA difference equation advanced one time step at a time.
+
+    The oracle for ``innovation_recursion``'s doubling scan: same convention
+    (zero pre-sample, deviation from the mean), same shapes, and the
+    arithmetic taken in time order, as the equation is written.
+    """
+    steps = innovations.shape[-2]
+    out = np.empty_like(innovations)
+    for t in range(steps):
+        acc = innovations[..., t, :].copy()
+        for i in range(1, min(t, len(phi)) + 1):
+            acc += out[..., t - i, :] @ phi[i - 1].T
+        for j in range(1, min(t, len(theta)) + 1):
+            acc -= innovations[..., t - j, :] @ theta[j - 1].T
+        out[..., t, :] = acc
+    return out
+
+
 def explosive_series():
     """x_t = 1.05 x_{t-1} + e_t, n=60, k=2: its fitted VAR(1) has radius 1.053."""
     noise = np.random.default_rng(3).standard_normal((60, 2))

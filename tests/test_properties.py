@@ -5,6 +5,10 @@ series maps the residuals by the same matrix.  The hosking autocorrelations
 then change by an orthogonal similarity, and Q's trace form not at all, so
 gv and Q~ must not move.  A column permutation is one such map.
 
+The simulator's doubling scan solves the same VARMA recursion as the
+time-step loop, so on any stationary model and any stack of paths the two
+agree to rounding.
+
 Every test draws its cases with ``derandomize=True``, so each run of the
 suite checks the same inputs.
 """
@@ -14,6 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vardiag import evaluate_statistics, fit_var
+from vardiag.varma import innovation_recursion, polynomial_radius
+
+from reference import loop_recursion
 
 STATS = ("gv", "q_modified")
 
@@ -75,3 +82,30 @@ def test_random_stack_scores_as_its_rows(case, batch, transform, with_intercept)
         # each statistic's row against its own scale, so values near zero need no own bound
         scale = np.abs(expect).max(axis=-1)
         assert np.all(np.abs(got - expect).max(axis=-1) <= 1e-12 * scale)
+
+
+@st.composite
+def varma_paths(draw):
+    k = draw(st.integers(1, 3))
+    p = draw(st.integers(0, 3))
+    q = draw(st.integers(0, 2))
+    steps = draw(st.integers(1, 400))
+    stack = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    phi = rng.uniform(-1.0, 1.0, (p, k, k))
+    # scaling phi_i by c^i scales every companion eigenvalue by c
+    radius = polynomial_radius(phi)[1]
+    if radius > 0.95:
+        phi *= (0.95 / radius) ** np.arange(1, p + 1)[:, None, None]
+    theta = rng.uniform(-1.0, 1.0, (q, k, k))
+    return tuple(phi), tuple(theta), rng.standard_normal(stack + (steps, k))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(varma_paths())
+def test_scan_equals_the_time_step_loop(case):
+    phi, theta, innovations = case
+    got = innovation_recursion(phi, theta, innovations)
+    expect = loop_recursion(phi, theta, innovations)
+    assert got.shape == expect.shape
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()

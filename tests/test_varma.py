@@ -18,6 +18,8 @@ from vardiag import (
 from vardiag.montecarlo import derive_seed
 from vardiag.varma import innovation_recursion
 
+from reference import loop_recursion
+
 
 def scalar_model(phi=(), theta=()):
     return VarmaModel(
@@ -198,6 +200,21 @@ class TestInnovationRecursion:
         single = innovation_recursion(model.phi, model.theta, noise)
         stacked = innovation_recursion(model.phi, model.theta, noise[None])
         assert stacked[0].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("stack", [(), (32,)])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_scan_matches_the_loop(self, name, stack):
+        # the scan's passes double from 1, so 2^j and 2^j + 1 steps sit on either
+        # side of a pass boundary; model5 is a pure VMA(1), model1 a VAR(2)
+        model = catalog(name)
+        rng = np.random.default_rng(19)
+        for steps in sorted({0, 1, model.p, 2, 3, 8, 9, 64, 65, 310, 610}):
+            noise = rng.standard_normal(stack + (steps, model.k)) @ model._innov_chol.T
+            got = innovation_recursion(model.phi, model.theta, noise)
+            expect = loop_recursion(model.phi, model.theta, noise)
+            assert got.shape == expect.shape and got.flags.c_contiguous
+            if steps:
+                assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), steps
 
 
 class TestCatalog:
