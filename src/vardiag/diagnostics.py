@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +36,9 @@ from .errors import DegenerateResiduals, NotPositiveDefinite
 from .linalg import _cross, cholesky_lower, log_det_spd, spd_inverse
 
 RACF_MODES = ("hosking", "li_mcleod", "chitturi")
-# Block-Toeplitz floats assembled and factored at once (256 KiB): a stack is
-# factored in row slices of this size, which bounds the memory it needs.
+# A 256 KiB float budget with two uses: a stack of block-Toeplitz matrices is
+# assembled and factored in row slices of this size, and a Monte-Carlo chunk
+# holds at least this many simulated path floats (see ``montecarlo``).
 _FACTOR_FLOATS = 2 ** 15
 Q_VARIANTS = ("classic", "modified")
 TRANSFORMS = ("identity", "square", "abs")
@@ -62,6 +64,11 @@ class Autocovariances:
     @property
     def max_lag(self) -> int:
         return len(self.values) - 1
+
+    @cached_property
+    def _g0_inv(self) -> np.ndarray:
+        # G0's inverse, factored once for the PD check, racf and the Q terms
+        return spd_inverse(self.values[0])
 
 
 @dataclass(frozen=True)
@@ -123,12 +130,13 @@ def sample_acov(residuals, m: int) -> Autocovariances:
     gamma = [_cross(resid, resid) / n]
     for lag in range(1, m + 1):
         gamma.append(_cross(resid[..., lag:, :], resid[..., :-lag, :]) / n)
+    acov = Autocovariances(tuple(gamma), n)
     try:
-        cholesky_lower(gamma[0])
+        acov._g0_inv
     except NotPositiveDefinite:
         raise DegenerateResiduals(
             "lag-0 residual covariance is not positive definite") from None
-    return Autocovariances(tuple(gamma), n)
+    return acov
 
 
 def racf(acf: Autocovariances, mode: str = "hosking") -> Autocorrelations:
@@ -140,22 +148,20 @@ def racf(acf: Autocovariances, mode: str = "hosking") -> Autocorrelations:
         raise ValueError(f"mode must be one of {RACF_MODES}, got {mode!r}")
     gamma = np.stack(acf.values, axis=-3)
     if mode == "hosking":
-        g0_inv = spd_inverse(gamma[..., 0, :, :])
-        lhat = cholesky_lower(g0_inv)[..., None, :, :]
+        lhat = cholesky_lower(acf._g0_inv)[..., None, :, :]
         values = _cross(lhat, gamma) @ lhat
     elif mode == "li_mcleod":
         scale = np.sqrt(np.diagonal(gamma[..., 0, :, :], axis1=-2, axis2=-1))
         values = gamma / (scale[..., None, :, None] * scale[..., None, None, :])
     else:  # chitturi
-        g0_inv = spd_inverse(gamma[..., 0, :, :])
-        values = gamma @ g0_inv[..., None, :, :]
+        values = gamma @ acf._g0_inv[..., None, :, :]
         values[..., 0, :, :] = np.eye(acf.k)
     return Autocorrelations(mode, tuple(np.moveaxis(values, -3, 0)), acf)
 
 
 def _q_lag_terms(acf: Autocovariances, m: int) -> np.ndarray:
     """Trace-form per-lag contributions tr(G_l' G0inv G_l G0inv), shape ``(..., m)``."""
-    g0_inv = spd_inverse(acf.values[0])[..., None, :, :]
+    g0_inv = acf._g0_inv[..., None, :, :]
     g = np.stack(acf.values[1:m + 1], axis=-3)
     return np.trace(_cross(g, g0_inv) @ g @ g0_inv, axis1=-2, axis2=-1)
 

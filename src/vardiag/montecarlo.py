@@ -10,13 +10,15 @@ Replicates are seeded individually from a 64-bit mix of (master seed,
 replicate index, attempt), so the report is identical whatever the worker
 count; aggregation is a commutative exceedance count.
 
-Replicates run in fixed index chunks of ``_CHUNK``.  A chunk's first attempts
-are simulated by one doubling scan, then refitted and scored as one stack:
-``fit_var``, ``sample_acov``, ``racf``, the block-Toeplitz Cholesky and the Q
-terms each run once per chunk.  If a numeric error stops the stacked scoring,
-the chunk is rescored row by row and each failing row is redrawn on its own,
-so the retry and non-PD rules are those of a single replicate.  Chunk
-boundaries depend on the replicate index only, never on the worker count.
+Replicates run in contiguous index chunks of one width: as many rows as fit
+their simulated paths into ``_FACTOR_FLOATS`` floats, and never fewer than
+``_CHUNK``.  A chunk's first attempts are simulated by one doubling scan, then
+refitted and scored as one stack: ``fit_var``, ``sample_acov``, ``racf``, the
+block-Toeplitz Cholesky and the Q terms each run once per chunk.  If a numeric
+error stops the stacked scoring, the chunk is rescored row by row and each
+failing row is redrawn on its own, so the retry and non-PD rules are those of
+a single replicate.  Chunk boundaries depend on the replicate count and the
+path shape only, never on the worker count.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 from ._version import __version__
 from .diagnostics import (
     TRANSFORMS,
+    _FACTOR_FLOATS,
     racf,
     gv_decompose,
     gv_stat,
@@ -56,7 +59,8 @@ STATISTICS = ("gv", "q_classic", "q_modified")
 INNOVATION_MODES = ("gaussian", "bootstrap")
 
 _MAX_ATTEMPTS = 10
-# Replicates simulated together through one stacked VAR recursion.
+# The fewest replicates simulated and scored as one stack; short series get
+# wider chunks, up to the ``_FACTOR_FLOATS`` path budget (see ``_chunk_rows``).
 _CHUNK = 32
 _MASK64 = (1 << 64) - 1
 
@@ -289,17 +293,25 @@ def _replicate_chunk(args) -> list:
 
 
 def _pool_map(fn, tasks, workers: int, chunksize: int = 1) -> list:
-    """``[fn(t) for t in tasks]``, across a process pool when ``workers > 1``."""
+    """``[fn(t) for t in tasks]``, across at most one process per task when ``workers > 1``."""
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
+def _chunk_rows(plan: _ReplicatePlan) -> int:
+    """Replicates per chunk: paths of ``_FACTOR_FLOATS`` floats, at least ``_CHUNK``."""
+    path_floats = (burn_in_length(plan.order, 0) + plan.n) * plan.mean.shape[-1]
+    return max(_CHUNK, _FACTOR_FLOATS // path_floats)
+
+
 def _run_replicates(plan: _ReplicatePlan, n_reps: int, workers: int) -> list:
-    # Chunk boundaries depend on the replicate index only, never on workers.
-    jobs = [(plan, start, min(start + _CHUNK, n_reps + 1))
-            for start in range(1, n_reps + 1, _CHUNK)]
+    # Chunk boundaries depend on the replicate count and path shape, never on workers.
+    rows = _chunk_rows(plan)
+    jobs = [(plan, start, min(start + rows, n_reps + 1))
+            for start in range(1, n_reps + 1, rows)]
     return [row for part in _pool_map(_replicate_chunk, jobs, workers) for row in part]
 
 

@@ -68,6 +68,25 @@ class TestSampleAcov:
         with pytest.raises(DegenerateResiduals):
             sample_acov(np.zeros((50, 2)), 2)
 
+    def test_singular_lag_zero_degenerate(self):
+        rng = np.random.default_rng(3)
+        resid = rng.standard_normal((50, 3))
+        resid[:, 2] = resid[:, 0] - 2.0 * resid[:, 1]
+        with pytest.raises(DegenerateResiduals):
+            sample_acov(resid, 2)
+        stack = np.stack([rng.standard_normal((50, 3)), resid])
+        with pytest.raises(DegenerateResiduals):
+            sample_acov(stack, 2)
+
+    @pytest.mark.parametrize("shape", [(60, 2), (5, 60, 2), (2, 3, 60, 3)])
+    def test_lag_zero_inverse_is_computed_once(self, shape):
+        rng = np.random.default_rng(4)
+        acf = sample_acov(rng.standard_normal(shape), 3)
+        g0_inv = acf._g0_inv
+        assert acf._g0_inv is g0_inv
+        assert np.array_equal(g0_inv, spd_inverse(acf.values[0]))
+        assert np.array_equal(g0_inv, spd_inverse(np.stack(acf.values, axis=-3)[..., 0, :, :]))
+
     def test_lag_zero_symmetry(self):
         rng = np.random.default_rng(0)
         acf = sample_acov(rng.standard_normal((80, 3)), 4)

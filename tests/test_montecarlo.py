@@ -273,13 +273,13 @@ class TestSharedReplicates:
         assert solo.lags[1].p_value == pvals[0, 1]
 
 
-def _phi1_plan(innovations="gaussian"):
+def _phi1_plan(innovations="gaussian", n=120):
     from vardiag.montecarlo import _build_plan
 
-    series = simulate(catalog("phi1"), 120, derive_seed(14, 0))
+    series = simulate(catalog("phi1"), n, derive_seed(14, 0))
     config = McConfig(replicates=39, master_seed=15, lags=(2, 5),
                       innovations=innovations)
-    return _build_plan(fit_var(series, 1), 120, config, ("gv", "q_modified"))
+    return _build_plan(fit_var(series, 1), n, config, ("gv", "q_modified"))
 
 
 def _close_rows(got, expect, rtol=1e-12):
@@ -291,12 +291,15 @@ class TestStackedReplicates:
     @pytest.mark.parametrize("replicates", [39, 71])
     @pytest.mark.parametrize("innovations", ["gaussian", "bootstrap"])
     def test_reports_identical_across_workers(self, replicates, innovations):
-        from vardiag.montecarlo import _CHUNK
+        from vardiag.montecarlo import _build_plan, _chunk_rows
 
-        assert replicates % _CHUNK != 0
-        series = simulate(catalog("phi1"), 110, derive_seed(16, 0))
+        # long enough for 32-row chunks: two or three of them, the last one short
+        series = simulate(catalog("phi1"), 400, derive_seed(16, 0))
         base = dict(replicates=replicates, master_seed=17, lags=(2, 4),
                     innovations=innovations, statistic="q_modified")
+        rows = _chunk_rows(_build_plan(fit_var(series, 1), 400, McConfig(**base),
+                                       ("q_modified",)))
+        assert replicates > rows and replicates % rows != 0
         reports = {w: mc_test(series, 1, McConfig(workers=w, **base)).to_json()
                    for w in (1, 2, 3)}
         assert reports[1] == reports[2] == reports[3]
@@ -354,7 +357,7 @@ class TestStackedReplicates:
         import vardiag.montecarlo as mc
 
         plan = _phi1_plan()
-        clean = [mc._one_replicate(plan, i) for i in range(1, 40)]
+        clean = [mc._one_replicate(plan, i) for i in range(1, 101)]
         original = mc.innovation_recursion
         stacks = []
 
@@ -367,11 +370,12 @@ class TestStackedReplicates:
             return out
 
         monkeypatch.setattr(mc, "innovation_recursion", overflowing)
-        got = mc._run_replicates(plan, 39, 1)
+        got = mc._run_replicates(plan, 100, 1)
         assert _close_rows(got[:4] + got[5:], clean[:4] + clean[5:])
         assert _close_rows(got[4:5], [mc._one_replicate(plan, 5, first_attempt=1)])
         assert not np.allclose(got[4], clean[4])
-        assert stacks == [mc._CHUNK, 39 - mc._CHUNK]
+        # n = 120: (110 burn-in + 120) steps x 2 series per path, 2**15 // 460 = 71 rows
+        assert stacks == [71, 29]
 
     def test_non_pd_stack_is_rescored_without_redraws(self, monkeypatch):
         import vardiag.montecarlo as mc
@@ -410,8 +414,69 @@ class TestStackedReplicates:
         data = simulate(catalog("phi1"), 200, derive_seed(42, 0))
         report = mc_test(data, 1, McConfig(replicates=199, master_seed=7, lags=(5, 30)))
         assert report.lags[1].nonpd_replicates == 0
-        assert len(shapes) == 1 + math.ceil(199 / mc._CHUNK)
-        assert [s[0] for s in shapes[1:]] == [mc._CHUNK] * 6 + [7]
+        # n = 200: 2**15 // ((110 + 200) * 2) = 52 rows per chunk
+        assert [s[0] for s in shapes[1:]] == [52, 52, 52, 43]
+
+    @pytest.mark.parametrize("n, expect", [(50, [102, 97]), (200, [52] * 3 + [43]),
+                                           (500, [32] * 6 + [7])])
+    def test_chunk_width_follows_the_path_length(self, n, expect):
+        import vardiag.montecarlo as mc
+
+        rows = mc._chunk_rows(_phi1_plan(n=n))
+        assert [min(rows, 199 - start) for start in range(0, 199, rows)] == expect
+
+    @pytest.mark.parametrize("statistic, n", [("gv", 50), ("q_modified", 200)])
+    @pytest.mark.parametrize("innovations", ["gaussian", "bootstrap"])
+    def test_reports_identical_for_32_row_chunks(self, monkeypatch, statistic, n,
+                                                 innovations):
+        import vardiag.montecarlo as mc
+
+        series = simulate(catalog("phi1"), n, derive_seed(18, 0))
+        config = McConfig(replicates=199, master_seed=19, lags=(2, 5),
+                          innovations=innovations, statistic=statistic)
+        wide = mc_test(series, 1, config).to_json()
+        monkeypatch.setattr(mc, "_FACTOR_FLOATS", 0)  # every chunk at the 32-row floor
+        assert mc._chunk_rows(mc._build_plan(fit_var(series, 1), n, config,
+                                             (statistic,))) == mc._CHUNK
+        assert mc_test(series, 1, config).to_json() == wide
+
+    @pytest.mark.parametrize("n", [50, 200, 500])
+    def test_chunk_memory_is_bounded(self, n):
+        import tracemalloc
+
+        import vardiag.montecarlo as mc
+
+        plan = _phi1_plan(n=n)
+        rows = mc._chunk_rows(plan)
+        mc._replicate_chunk((plan, 1, 1 + rows))  # warm numpy's caches first
+        tracemalloc.start()
+        try:
+            mc._replicate_chunk((plan, 1, 1 + rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, f"{rows}-row chunk at n={n} peaked at {peak} bytes"
+
+    def test_pool_starts_at_most_one_process_per_chunk(self, monkeypatch):
+        import vardiag.montecarlo as mc
+
+        series = simulate(catalog("phi1"), 200, derive_seed(20, 0))
+        base = dict(master_seed=21, lags=(2, 5), statistic="gv")
+        solo = {reps: mc_test(series, 1, McConfig(replicates=reps, **base)).to_json()
+                for reps in (40, 60)}
+        started = []
+
+        class Recording(mc.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", Recording)
+        # 40 replicates are one 52-row chunk, run inline; 60 are two chunks
+        for reps in (40, 60):
+            report = mc_test(series, 1, McConfig(replicates=reps, workers=8, **base))
+            assert report.to_json() == solo[reps]
+        assert started == [2]
 
     def test_explosive_plan_fails_naming_the_path(self):
         import dataclasses
