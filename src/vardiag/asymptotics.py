@@ -71,6 +71,16 @@ def _as_model(model) -> VarmaModel:
     raise TypeError(f"expected VarmaModel or FittedVar, got {type(model).__name__}")
 
 
+def _block_banded(blocks, cols: int) -> np.ndarray:
+    """Lower block-banded matrix whose block (i, j) is ``blocks[i - j]``, ``cols`` block columns."""
+    stacked = np.concatenate(blocks)
+    size = blocks[0].shape[0]
+    out = np.zeros((stacked.shape[0], size * cols))
+    for j in range(cols):
+        out[j * size:, j * size:(j + 1) * size] = stacked[:stacked.shape[0] - j * size]
+    return out
+
+
 def build_design(model, m: int) -> DesignSet:
     """Assemble the design matrices for a model (true or fitted) and lag m.
 
@@ -87,33 +97,19 @@ def build_design(model, m: int) -> DesignSet:
     psi = ma_weights(spec, m)
     pi = inverse_ma_weights(spec, m)
 
-    g_blocks = []
-    h_blocks = []
-    for r in range(m):
-        acc = np.zeros((kk, kk))
-        for i in range(r + 1):
-            acc += np.kron(cov @ psi[i].T, pi[r - i])
-        g_blocks.append(acc)
-        h_blocks.append(np.kron(cov, pi[r]))
-
-    g = np.zeros((kk * m, kk * p))
-    for i in range(m):
-        for j in range(min(i + 1, p)):
-            g[i * kk:(i + 1) * kk, j * kk:(j + 1) * kk] = g_blocks[i - j]
-    h = np.zeros((kk * m, kk * q))
-    for i in range(m):
-        for j in range(min(i + 1, q)):
-            h[i * kk:(i + 1) * kk, j * kk:(j + 1) * kk] = h_blocks[i - j]
+    g_blocks = [sum(np.kron(cov @ psi[i].T, pi[r - i]) for i in range(r + 1)) for r in range(m)]
+    g = _block_banded(g_blocks, p)
+    h = _block_banded([np.kron(cov, pi[r]) for r in range(m)], q)
     x = np.hstack([g, -h])
 
     cov_inv = spd_inverse(cov)
     w = np.kron(np.eye(m), np.kron(cov, cov))
-    w_inv = np.kron(np.eye(m), np.kron(cov_inv, cov_inv))
 
     if x.shape[1] == 0:
         q_mat = np.zeros((kk * m, kk * m))
     else:
-        wx = w_inv @ x
+        # W^{-1} = I_m kron (cov^{-1} kron cov^{-1}) weights each kk-row block of x
+        wx = (np.kron(cov_inv, cov_inv) @ x.reshape(m, kk, -1)).reshape(x.shape)
         gram = x.T @ wx
         try:
             gram_inv = spd_inverse(gram)

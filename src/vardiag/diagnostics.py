@@ -16,6 +16,8 @@ The classical portmanteau statistic is computed once, from the trace of
 G_l' G_0^{-1} G_l G_0^{-1} at each lag.  It equals the quadratic form in the
 row-stacked autocorrelation matrices under every mode; the test suite keeps
 that Kronecker form as its reference and checks the equality numerically.
+The generalized variance has one route too: ``gv_stat``, ``gv_decompose`` and
+the Monte-Carlo scorer read one Cholesky factor's pivots through ``log1p``.
 
 ``sample_acov``, ``racf``, ``gv_decompose``, ``block_toeplitz`` and
 ``residual_transform`` also accept a stack of residual series of shape
@@ -33,6 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateResiduals, NotPositiveDefinite
+# log_det_spd is not called here; the benchmark tracer still hooks this name
 from .linalg import _cross, cholesky_lower, log_det_spd, spd_inverse
 
 RACF_MODES = ("hosking", "li_mcleod", "chitturi")
@@ -104,6 +107,11 @@ class GvDecomposition:
     step_dets: tuple
 
 
+def _lag_fits(n_eff: int, m: int, k: int) -> bool:
+    """The lag guard: lag m needs ``n_eff > (m + 1) * k`` residual rows."""
+    return n_eff > (m + 1) * k
+
+
 def sample_acov(residuals, m: int) -> Autocovariances:
     """Biased residual autocovariance matrices for lags 0..m.
 
@@ -124,7 +132,7 @@ def sample_acov(residuals, m: int) -> Autocovariances:
     if not np.isfinite(resid).all():
         raise DegenerateResiduals("residuals contain non-finite values")
     n, k = resid.shape[-2:]
-    if n <= (m + 1) * k:
+    if not _lag_fits(n, m, k):
         raise DegenerateResiduals(
             f"need n_eff > (m + 1)*k for lag {m} (n_eff={n}, k={k})")
     gamma = [_cross(resid, resid) / n]
@@ -226,17 +234,41 @@ def block_toeplitz(racfs: Autocorrelations, m: int) -> np.ndarray:
     return _assemble_block_toeplitz(np.stack(racfs.values[:m + 1], axis=-3))
 
 
+def _gv_log_steps(racfs: Autocorrelations, m: int) -> np.ndarray:
+    """Log step determinants log det(T_l) - log det(T_{l-1}), l = 1..m, shape ``(..., m)``.
+
+    The leading blocks of the Cholesky factor L of the block-Toeplitz T_m factor
+    every T_l.  T has a unit diagonal, so a squared pivot is 1 - sum_{j<i} L_ij^2,
+    whose log ``log1p`` keeps exact near 1.  Stacks factor in ``_FACTOR_FLOATS`` slices.
+    """
+    if racfs.mode != "hosking":
+        raise ValueError("gv requires hosking-standardized autocorrelations")
+    if not 1 <= m <= racfs.max_lag:
+        raise ValueError(f"m must be within 1..{racfs.max_lag}, got {m}")
+    values = np.stack(racfs.values[:m + 1], axis=-3)
+    rows = values.reshape(-1, *values.shape[-3:])
+    step = max(1, _FACTOR_FLOATS // ((m + 1) * racfs.k) ** 2)
+    row_sums = []
+    for start in range(0, rows.shape[0], step):
+        factor = cholesky_lower(_assemble_block_toeplitz(rows[start:start + step]))
+        np.einsum("...ii->...i", factor)[...] = 0.0
+        row_sums.append(np.einsum("...ij,...ij->...i", factor, factor))
+    log_pivots_sq = np.log1p(-np.concatenate(row_sums)).reshape(*values.shape[:-1])
+    return log_pivots_sq.sum(axis=-1)[..., 1:]
+
+
 def gv_stat(racfs: Autocorrelations, m: int, n_eff: int) -> float:
-    """Generalized-variance portmanteau statistic through lag m.
+    """Generalized-variance portmanteau statistic through lag m >= 1.
 
     Equals ``-n_eff`` times the log-determinant of the block-Toeplitz
-    autocorrelation matrix.  When that matrix fails to be positive definite
-    the statistic is reported as ``+inf``: maximal evidence against the null,
-    which ranks correctly in Monte-Carlo comparisons.
+    autocorrelation matrix, the sum of its log step determinants.  When that
+    matrix is not positive definite the statistic is ``+inf``: maximal
+    evidence against the null, which ranks correctly in Monte-Carlo comparisons.
     """
-    toep = block_toeplitz(racfs, m)
+    if racfs.values[0].ndim > 2:
+        raise ValueError("gv_stat scores one series; gv_decompose takes a stack")
     try:
-        return -n_eff * log_det_spd(toep)
+        return -n_eff * float(_gv_log_steps(racfs, m).sum())
     except NotPositiveDefinite:
         return math.inf
 
@@ -244,30 +276,16 @@ def gv_stat(racfs: Autocorrelations, m: int, n_eff: int) -> float:
 def gv_decompose(racfs: Autocorrelations, m: int) -> GvDecomposition:
     """Factor the generalized variance into per-lag predictor contributions.
 
-    The leading blocks of the Cholesky factor of the order-m block-Toeplitz
-    matrix T_m factor every T_l, so the squared pivots of block l multiply to
-    det(T_l) / det(T_{l-1}), the order-l predictor's step determinant.  Raises
+    ``step_dets`` and ``eta_sq`` are ``exp`` and ``-expm1`` of the log step
+    determinants that ``gv_stat`` sums, so both stay exact near zero.  Raises
     :class:`NotPositiveDefinite` exactly when ``gv_stat`` at lag m is ``+inf``;
-    on a stack, when that holds for any member.  A stack is assembled and
-    factored in row slices of at most ``_FACTOR_FLOATS`` floats.
+    on a stack, when that holds for any member.
     """
-    if racfs.mode != "hosking":
-        raise ValueError("gv_decompose requires hosking-standardized autocorrelations")
-    if not 1 <= m <= racfs.max_lag:
-        raise ValueError(f"m must be within 1..{racfs.max_lag}, got {m}")
-    k = racfs.k
-    values = np.stack(racfs.values[:m + 1], axis=-3)
-    rows = values.reshape(-1, m + 1, k, k)
-    step = max(1, _FACTOR_FLOATS // ((m + 1) * k) ** 2)
-    # squaring copies each slice's pivots, so its factor is freed before the next slice
-    pivots_sq = np.concatenate([
-        np.diagonal(cholesky_lower(_assemble_block_toeplitz(rows[start:start + step])),
-                    axis1=-2, axis2=-1) ** 2
-        for start in range(0, rows.shape[0], step)]).reshape(*values.shape[:-3], m + 1, k)
-    step_dets = np.moveaxis(pivots_sq.prod(axis=-1)[..., 1:], -1, 0)
-    if step_dets.ndim == 1:  # one series gives Python floats
-        return GvDecomposition(tuple((1.0 - step_dets).tolist()), tuple(step_dets.tolist()))
-    return GvDecomposition(tuple(1.0 - step_dets), tuple(step_dets))
+    logs = np.moveaxis(_gv_log_steps(racfs, m), -1, 0)
+    step_dets, eta_sq = np.exp(logs), -np.expm1(logs)
+    if logs.ndim == 1:  # one series gives Python floats
+        return GvDecomposition(tuple(eta_sq.tolist()), tuple(step_dets.tolist()))
+    return GvDecomposition(tuple(eta_sq), tuple(step_dets))
 
 
 def residual_transform(residuals, kind: str = "identity") -> np.ndarray:

@@ -34,8 +34,8 @@ from ._version import __version__
 from .diagnostics import (
     TRANSFORMS,
     _FACTOR_FLOATS,
+    _gv_log_steps,
     racf,
-    gv_decompose,
     gv_stat,
     residual_transform,
     sample_acov,
@@ -181,13 +181,12 @@ def _gv_row(rs, lags, n_eff: int) -> np.ndarray:
     rescores the stack row by row.
     """
     try:
-        step_dets = np.stack(gv_decompose(rs, max(lags)).step_dets, axis=-1)
+        log_steps = _gv_log_steps(rs, max(lags))
     except NotPositiveDefinite:
         if rs.values[0].ndim > 2:
             raise
         return np.array([gv_stat(rs, lag, n_eff) for lag in lags])
-    partial = -n_eff * np.cumsum(np.log(step_dets), axis=-1)
-    return partial[..., np.asarray(lags) - 1]
+    return -n_eff * np.cumsum(log_steps, axis=-1)[..., np.asarray(lags) - 1]
 
 
 def evaluate_statistics(residuals, statistics, lags, transform: str = "identity") -> np.ndarray:

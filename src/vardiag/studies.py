@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .asymptotics import ab_params, approx_pvalue
+from .diagnostics import _lag_fits
 from .estimate import fit_var
 from .montecarlo import (
     McConfig, _pool_map, derive_key, derive_seed, evaluate_statistics, mc_pvalues)
@@ -107,41 +108,27 @@ def _model_code(name: str) -> int:
     return CATALOG_NAMES.index(name)
 
 
-def _usable_lags(lags, n: int, order: int, k: int):
-    ok, refused = [], []
-    for lag in lags:
-        if n - order > (lag + 1) * k:
-            ok.append(lag)
-        else:
-            refused.append(lag)
-    return tuple(ok), tuple(refused)
-
-
-def _trial_inputs(name: str, n: int, trial: int, master_seed: int, lags, order: int):
-    """One trial's model, simulated series, usable lags and Monte-Carlo master key."""
+def _trial_inputs(name: str, n: int, trial: int, master_seed: int):
+    """One trial's model, simulated series and Monte-Carlo master key."""
     model = catalog(name)
     code = _model_code(name)
-    data_rng = derive_seed(derive_key(master_seed, code, n, trial), 0)
-    series = simulate(model, n, data_rng)
-    usable, _ = _usable_lags(lags, n, order, model.k)
-    return model, series, usable, derive_key(master_seed, code, n, trial, 1)
+    series = simulate(model, n, derive_seed(derive_key(master_seed, code, n, trial), 0))
+    return model, series, derive_key(master_seed, code, n, trial, 1)
 
 
 def _size_trial(args) -> dict:
     (name, n, trial, master_seed, lags, replicates, method, order) = args
-    model, series, usable, mc_master = _trial_inputs(name, n, trial, master_seed, lags, order)
-    if not usable:
-        return {}
+    model, series, mc_master = _trial_inputs(name, n, trial, master_seed)
     rejections = {}
     config = McConfig(replicates=replicates, master_seed=mc_master,
-                      statistic="gv", lags=usable)
+                      statistic="gv", lags=lags)
     if method in ("mc", "both"):
         _, observed, pvals, _, _ = mc_pvalues(series, order, config)
     else:
         fitted = fit_var(series, order)
-        observed = evaluate_statistics(fitted.residuals, ("gv",), usable)
+        observed = evaluate_statistics(fitted.residuals, ("gv",), lags)
         pvals = None
-    for col, lag in enumerate(usable):
+    for col, lag in enumerate(lags):
         if pvals is not None:
             rejections[(lag, "mc")] = bool(pvals[0, col] <= NOMINAL_LEVEL)
         if method in ("chi2", "both") and lag > order:
@@ -154,16 +141,14 @@ def _size_trial(args) -> dict:
 
 def _power_trial(args) -> dict:
     (name, n, trial, master_seed, lags, replicates, fit_order) = args
-    _, series, usable, mc_master = _trial_inputs(name, n, trial, master_seed, lags, fit_order)
-    if not usable:
-        return {}
+    _, series, mc_master = _trial_inputs(name, n, trial, master_seed)
     config = McConfig(replicates=replicates, master_seed=mc_master,
-                      statistic="gv", lags=usable)
+                      statistic="gv", lags=lags)
     _, _, pvals, _, _ = mc_pvalues(series, fit_order, config,
                                    statistics=_POWER_COLUMNS)
     rejections = {}
     for row, stat in enumerate(_POWER_COLUMNS):
-        for col, lag in enumerate(usable):
+        for col, lag in enumerate(lags):
             rejections[(lag, stat)] = bool(pvals[row, col] <= NOMINAL_LEVEL)
     return rejections
 
@@ -185,8 +170,10 @@ def _run_study(kind, trial_fn, columns, task_tail, *, models, ns, lags,
                trials, replicates, master_seed, workers) -> StudyResult:
     """Run ``trial_fn`` on every trial of every (model, n) stratum and tabulate.
 
-    Each task is ``(name, n, trial, master_seed, lags, replicates, *task_tail)``;
-    the last element of ``task_tail`` is the fitted VAR order.
+    Each task is ``(name, n, trial, master_seed, lags, replicates, *task_tail)``,
+    where ``lags`` are the stratum's lags that pass the lag guard and the last
+    element of ``task_tail`` is the fitted VAR order.  A stratum with no such
+    lag runs no trials.
     """
     check_study_args(trials, replicates, workers)
     order = task_tail[-1]
@@ -195,10 +182,10 @@ def _run_study(kind, trial_fn, columns, task_tail, *, models, ns, lags,
     for name in models:
         k = catalog(name).k
         for n in ns:
-            _, refused = _usable_lags(lags, n, order, k)
-            skipped.extend((name, n, lag) for lag in refused)
-            tasks = [(name, n, trial, master_seed, tuple(lags), replicates, *task_tail)
-                     for trial in range(trials)]
+            usable = tuple(lag for lag in lags if _lag_fits(n - order, lag, k))
+            skipped.extend((name, n, lag) for lag in lags if lag not in usable)
+            tasks = [(name, n, trial, master_seed, usable, replicates, *task_tail)
+                     for trial in range(trials) if usable]
             per_stratum[(name, n)] = _run_trials(trial_fn, tasks, workers)
     cells = []
     for (model, n), flag_dicts in per_stratum.items():

@@ -17,7 +17,8 @@ from vardiag import (
     residual_transform,
     sample_acov,
 )
-from vardiag.linalg import spd_inverse
+from vardiag.linalg import log_det_spd, spd_inverse
+from vardiag.montecarlo import _gv_row
 
 
 def colored_residuals(rng, n, k):
@@ -243,6 +244,17 @@ class TestGvStat:
         expect = -4.0 * math.log(0.4375)
         assert abs(gv_stat(rs, 1, 4) - expect) < 1e-12
 
+    def test_lag_zero_is_refused(self):
+        rs = synthetic_racf([np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(ValueError):
+            gv_stat(rs, 0, 100)
+
+    def test_stack_is_refused(self):
+        # a stack has one value per member; one float would have to merge them
+        rs = synthetic_racf([np.broadcast_to(np.eye(2), (3, 2, 2)), np.zeros((3, 2, 2))])
+        with pytest.raises(ValueError):
+            gv_stat(rs, 1, 100)
+
     def test_nonpd_gives_sentinel(self):
         rs = synthetic_racf([np.eye(1), [[1.2]]])
         assert gv_stat(rs, 1, 100) == math.inf
@@ -297,8 +309,7 @@ class TestGvDecompose:
             rs = racf(sample_acov(colored_residuals(rng, n, k), m), "hosking")
             dec = gv_decompose(rs, m)
             prod = float(np.prod(dec.step_dets))
-            d = gv_stat(rs, m, n)
-            assert abs(prod - math.exp(-d / n)) <= 1e-8 * prod
+            assert abs(prod - math.exp(log_det_spd(block_toeplitz(rs, m)))) <= 1e-8 * prod
             assert all(0.0 <= e < 1.0 for e in dec.eta_sq)
 
     def test_nonpd_propagates(self):
@@ -322,15 +333,40 @@ class TestGvDecompose:
             cases.append((synthetic_racf([np.eye(1), [[math.sqrt(1.0 - pivot_sq)]]]), 1))
         outcomes = set()
         for rs, m in cases:
-            infinite = gv_stat(rs, m, 100) == math.inf
+            # the independent route: one dense log-determinant of the assembled matrix
+            try:
+                log_det_spd(block_toeplitz(rs, m))
+                dense_fails = False
+            except NotPositiveDefinite:
+                dense_fails = True
             try:
                 gv_decompose(rs, m)
                 raised = False
             except NotPositiveDefinite:
                 raised = True
-            assert raised == infinite, (rs.k, m)
+            assert raised == dense_fails, (rs.k, m)
+            assert (gv_stat(rs, m, 100) == math.inf) == raised, (rs.k, m)
             outcomes.add(raised)
         assert outcomes == {True, False}
+
+
+class TestGvNearZero:
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    @pytest.mark.parametrize("r", (1e-3, 1e-5, 1e-7))
+    def test_closed_form(self, r, k):
+        # T = [[I, r I], [r I, I]] has det (1 - r^2)^k, so gv = -n k log1p(-r^2);
+        # a log of pivots already rounded near 1 misses it by up to 8e-4 relative at r = 1e-7
+        n = 100
+        log_det = k * math.log1p(-r * r)
+        gv, eta_sq = -n * log_det, -math.expm1(log_det)
+        rs = synthetic_racf([np.eye(k), r * np.eye(k)])
+        stack = synthetic_racf([np.broadcast_to(np.eye(k), (5, k, k)),
+                                np.broadcast_to(r * np.eye(k), (5, k, k))])
+        got = [gv_stat(rs, 1, n), *_gv_row(rs, (1,), n), *_gv_row(stack, (1,), n)[:, 0]]
+        assert len(got) == 7
+        for value in got:
+            assert abs(value - gv) <= 1e-14 * gv
+        assert abs(gv_decompose(rs, 1).eta_sq[0] - eta_sq) <= 1e-14 * eta_sq
 
 
 class TestDeterminantEqualityAcrossModes:

@@ -382,20 +382,20 @@ class TestStackedReplicates:
 
         plan = _phi1_plan()
         clean = [mc._one_replicate(plan, i) for i in range(1, 40)]
-        original_decompose = mc.gv_decompose
+        original_log_steps = mc._gv_log_steps
         original_seed = mc.derive_seed
         attempts = []
 
         def stack_fails(rs, m):
             if rs.values[0].ndim > 2:
                 raise NotPositiveDefinite("forced failure of a stack")
-            return original_decompose(rs, m)
+            return original_log_steps(rs, m)
 
         def recording(master, index, attempt=0):
             attempts.append(attempt)
             return original_seed(master, index, attempt)
 
-        monkeypatch.setattr(mc, "gv_decompose", stack_fails)
+        monkeypatch.setattr(mc, "_gv_log_steps", stack_fails)
         monkeypatch.setattr(mc, "derive_seed", recording)
         assert _close_rows(mc._run_replicates(plan, 39, 1), clean)
         assert attempts == [0] * 39

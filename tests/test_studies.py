@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 import vardiag.studies as studies
-from vardiag import power_study, size_study
+from vardiag import (
+    DegenerateResiduals, catalog, derive_seed, evaluate_statistics, fit_var, power_study,
+    simulate, size_study)
 
 
 class TestSizeStudy:
@@ -30,6 +32,29 @@ class TestSizeStudy:
         assert ("phi1", 30, 20) in result.skipped
         assert result.rate("phi1", 30, 20, "chi2") is None
         assert result.rate("phi1", 30, 3, "chi2") is not None
+
+    @pytest.mark.parametrize("n", (13, 14))
+    def test_guard_boundary_matches_sample_acov(self, n):
+        # phi1 (k = 2), VAR(1), lag 5: the lag needs n_eff = n - 1 > (5 + 1) * 2 = 12
+        result = size_study(models=("phi1",), ns=(n,), lags=(5,), trials=2,
+                            replicates=19, master_seed=5, method="chi2")
+        residuals = fit_var(simulate(catalog("phi1"), n, derive_seed(5, n)), 1).residuals
+        if n == 13:
+            assert result.skipped == (("phi1", 13, 5),)
+            assert result.cells == ()
+            with pytest.raises(DegenerateResiduals):
+                evaluate_statistics(residuals, ("gv",), (5,))
+        else:
+            assert result.skipped == ()
+            assert result.rate("phi1", 14, 5, "chi2") is not None
+            assert evaluate_statistics(residuals, ("gv",), (5,)).shape == (1, 1)
+
+    def test_unusable_stratum_runs_no_trials(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(studies, "_trial_inputs", lambda *args: calls.append(args))
+        result = size_study(models=("phi1",), ns=(13,), lags=(5,), trials=4,
+                            replicates=19, master_seed=5, method="chi2")
+        assert calls == [] and result.skipped == (("phi1", 13, 5),)
 
     def test_chi2_undefined_at_lag_equal_to_order(self):
         # the approximation has zero df at m = p; only the mc column exists
