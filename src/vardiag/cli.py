@@ -21,7 +21,7 @@ from .asymptotics import ab_params, approx_pvalue, q_pvalue_asymptotic
 from .csvio import CsvTable, read_csv, write_csv
 from .errors import UnknownModel, VardiagError
 from .estimate import fit_var
-from .montecarlo import McConfig, derive_seed, evaluate_statistics, mc_test
+from .montecarlo import McConfig, _check_lags, derive_seed, evaluate_statistics, mc_test
 from .studies import check_study_args, power_study, size_study
 from .varma import CATALOG_NAMES, VarmaModel, catalog, simulate
 
@@ -160,8 +160,12 @@ def _cmd_test(args, argv) -> int:
     if args.method == "chi2" and args.transform != "none":
         # the chi-square degrees of freedom hold for raw residuals only
         raise _UsageError(f"vardiag test: --transform {args.transform} needs --method mc")
-    table = read_csv(args.input)
     lags = _int_list(args.lags, "--lags")
+    try:
+        _check_lags(lags)
+    except ValueError as err:
+        raise _UsageError(f"vardiag test: --lags: {err}") from None
+    table = read_csv(args.input)
     stat_key = args.stat
     statistic = _STAT_NAMES[stat_key]
     transform = _TRANSFORMS[args.transform]
@@ -174,7 +178,7 @@ def _cmd_test(args, argv) -> int:
                 innovations=args.innovations, transform=transform,
                 statistic=statistic, lags=lags, workers=args.workers)
         except ValueError as err:
-            # flag-level constraint (e.g. --reps below 19, unsorted --lags)
+            # flag-level constraint (e.g. --reps below 19)
             raise _UsageError(f"vardiag test: {err}") from None
         report = mc_test(table.values, args.order, config,
                          with_intercept=with_intercept)
@@ -216,7 +220,7 @@ def _cmd_test(args, argv) -> int:
 def _check_study_flags(command: str, args) -> None:
     # checked before any trial runs, so errors raised by trials keep their own exit code
     try:
-        check_study_args(args.trials, args.reps, args.workers)
+        check_study_args(args.trials, args.reps, args.workers, _int_list(args.lags, "--lags"))
     except ValueError as err:
         raise _UsageError(f"vardiag {command}: {err}") from None
 

@@ -8,7 +8,9 @@ rescores.  The p-value at each lag is the add-one exceedance proportion
 
 Replicates are seeded individually from a 64-bit mix of (master seed,
 replicate index, attempt), so the report is identical whatever the worker
-count; aggregation is a commutative exceedance count.
+count; aggregation is a commutative exceedance count.  A chunk's first
+attempts are seeded in one vectorised pass that yields exactly the generators
+``derive_seed`` builds; redraws go through ``derive_seed``.
 
 Replicates run in contiguous index chunks of one width: as many rows as fit
 their simulated paths into ``_FACTOR_FLOATS`` floats, and never fewer than
@@ -62,7 +64,10 @@ _MAX_ATTEMPTS = 10
 # The fewest replicates simulated and scored as one stack; short series get
 # wider chunks, up to the ``_FACTOR_FLOATS`` path budget (see ``_chunk_rows``).
 _CHUNK = 32
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _splitmix64(state: int) -> int:
@@ -84,6 +89,63 @@ def derive_key(master: int, *words: int) -> int:
 def derive_seed(master: int, replicate_index: int, attempt: int = 0) -> np.random.Generator:
     """Independent generator for one replicate, stable across platforms."""
     return np.random.Generator(np.random.PCG64(derive_key(master, replicate_index, attempt)))
+
+
+def _hasher(const: int, mult: int):
+    """numpy SeedSequence's uint32 hash step, starting from ``const``; vectorises over arrays."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _seed_words(keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` for every uint64 key, as columns.
+
+    A key is the entropy words ``[lo, hi]`` (a key below 2**32 hashes the
+    same as ``[lo, 0]``), mixed into a pool of 4 words and drawn out as 8.
+    """
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    zero = np.zeros(keys.shape, np.uint32)
+    pool = [hashmix(word) for word in ((keys & _MASK32).astype(np.uint32),
+                                       (keys >> 32).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+    draw = _hasher(0x8B51F9DD, 0x58F38DED)
+    halves = np.array([draw(pool[i % 4]) for i in range(8)], dtype=np.uint64)
+    return halves[0::2] | halves[1::2] << 32
+
+
+def _seeded(master: int, start: int, stop: int):
+    """Generators of ``derive_seed(master, i, 0)`` for i in start..stop-1, seeded in one pass.
+
+    One generator is reset to each replicate's PCG64 state in turn, so a
+    draw must be taken before the next one is yielded.
+    """
+    words = _seed_words(derive_key(master, np.arange(start, stop, dtype=np.uint64), 0))
+    rng = np.random.Generator(np.random.PCG64(0))
+    for init_hi, init_lo, seq_hi, seq_lo in words.T.tolist():
+        # PCG64's srandom: inc = 2·seq + 1, state = (inc + init)·M + inc (mod 2**128)
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128
+        rng.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def _check_lags(lags) -> tuple:
+    """``lags`` as a tuple of ints; ``ValueError`` unless nonempty, positive and strictly ascending."""
+    lags = tuple(int(l) for l in lags)
+    if not lags or any(l < 1 for l in lags) or list(lags) != sorted(set(lags)):
+        raise ValueError("lags must be a nonempty ascending tuple of positive integers")
+    return lags
 
 
 @dataclass(frozen=True)
@@ -110,10 +172,7 @@ class McConfig:
             raise ValueError(f"transform must be one of {TRANSFORMS}")
         if self.statistic not in STATISTICS:
             raise ValueError(f"statistic must be one of {STATISTICS}")
-        lags = tuple(int(l) for l in self.lags)
-        if not lags or any(l < 1 for l in lags) or list(lags) != sorted(set(lags)):
-            raise ValueError("lags must be a nonempty ascending tuple of positive integers")
-        object.__setattr__(self, "lags", lags)
+        object.__setattr__(self, "lags", _check_lags(self.lags))
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -269,15 +328,14 @@ def _one_replicate(plan: _ReplicatePlan, index: int, first_attempt: int = 0) -> 
 
 
 def _replicate_chunk(args) -> list:
-    """First attempts of replicates start..stop-1, simulated and scored as one stack.
+    """First attempts of replicates start..stop-1, seeded, simulated and scored as one stack.
 
     If the stack fails, it is rescored row by row, and a row that fails is
     redrawn on its own from attempt 1.
     """
     plan, start, stop = args
     paths = innovation_recursion(plan.phi, (), np.stack([
-        _draw_innovations(plan, derive_seed(plan.master_seed, index, 0))
-        for index in range(start, stop)]))
+        _draw_innovations(plan, rng) for rng in _seeded(plan.master_seed, start, stop)]))
     try:
         return list(_score_path(plan, paths))
     except _RETRIED:

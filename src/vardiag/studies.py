@@ -158,12 +158,12 @@ def _run_trials(task_fn, task_args, workers: int) -> list:
     return _pool_map(task_fn, task_args, workers, chunksize)
 
 
-def check_study_args(trials: int, replicates: int, workers: int) -> None:
-    """Raise ``ValueError`` for a trial count, replicate count or worker count out of range."""
+def check_study_args(trials: int, replicates: int, workers: int, lags) -> None:
+    """Raise ``ValueError`` for a trial, replicate or worker count, or a lag list, out of range."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    # the replicate and worker bounds of a single test
-    McConfig(replicates=replicates, workers=workers)
+    # the replicate, worker and lag rules of a single test
+    McConfig(replicates=replicates, workers=workers, lags=lags)
 
 
 def _run_study(kind, trial_fn, columns, task_tail, *, models, ns, lags,
@@ -175,7 +175,7 @@ def _run_study(kind, trial_fn, columns, task_tail, *, models, ns, lags,
     element of ``task_tail`` is the fitted VAR order.  A stratum with no such
     lag runs no trials.
     """
-    check_study_args(trials, replicates, workers)
+    check_study_args(trials, replicates, workers, lags)
     order = task_tail[-1]
     per_stratum = {}
     skipped = []

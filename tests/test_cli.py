@@ -5,6 +5,7 @@ import pytest
 
 from reference import explosive_series
 
+import vardiag.studies as studies
 from vardiag import CsvTable, read_csv, write_csv
 from vardiag.cli import main
 
@@ -157,6 +158,16 @@ class TestUsageErrors:
                         "--transform", transform]) == 1
             assert "--method mc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["chi2", "mc"])
+    @pytest.mark.parametrize("lags", ["10,5", "5,5", "0", "-3,5"])
+    def test_bad_lags_are_usage_errors_before_any_work(self, method, lags, tmp_path, capsys):
+        # the input file does not exist, so reading it first would exit 2
+        out = tmp_path / "out.json"
+        assert run(["test", "--input", str(tmp_path / "missing.csv"), "--order", "1",
+                    f"--lags={lags}", "--method", method, "--out", str(out)]) == 1
+        assert "vardiag test: --lags" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["simulate", "--model", "phi1", "--n", "0", "--out", "{out}"], "--n"),
         (["fit", "--input", "{csv}", "--order", "-1", "--out", "{out}"], "--order"),
@@ -211,8 +222,15 @@ class TestStudies:
         ("power-study", ["--workers", "-1"], "workers"),
         ("size-study", ["--reps", "5"], "replicates"),
         ("power-study", ["--trials", "0"], "trials"),
+        *[(command, [f"--lags={lags}"], "lags") for command in ("size-study", "power-study")
+          for lags in ("10,5", "5,5", "0", "-3,5")],
     ])
-    def test_out_of_range_study_flag_is_usage_error(self, command, flags, message, capsys):
+    def test_out_of_range_study_flag_is_usage_error(self, command, flags, message, capsys,
+                                                    monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("trials ran before the flags were checked")
+
+        monkeypatch.setattr(studies, "_run_trials", no_trials)
         # the last occurrence of a flag wins, so the case's flags override these
         small = ["--n", "60", "--lags", "3", "--trials", "2", "--reps", "19"]
         assert run([command, *small, *flags]) == 1

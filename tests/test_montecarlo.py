@@ -91,6 +91,52 @@ class TestDeriveSeed:
         assert derive_key(2**64 - 1, 5) == derive_key(-1, 5)
 
 
+class TestSeededChunks:
+    """A chunk's first attempts, seeded in one pass, are exactly ``derive_seed``'s streams."""
+
+    @pytest.mark.parametrize("master", [0, 1, -1, 2**63, 2**64 - 1, 987654321,
+                                        0x9E3779B97F4A7C15, -(2**40 + 17)])
+    @pytest.mark.parametrize("start", [0, 2**40 - 60])
+    def test_states_match_derive_seed_at_every_width(self, master, start):
+        from vardiag.montecarlo import _seeded
+
+        expect = [derive_seed(master, i, 0).bit_generator.state
+                  for i in range(start, start + 120)]
+        for width in range(1, 121):
+            got = [rng.bit_generator.state for rng in _seeded(master, start, start + width)]
+            assert got == expect[:width]
+
+    def test_seed_words_match_seed_sequence(self):
+        from vardiag.montecarlo import _seed_words
+
+        rng = np.random.default_rng(2024)
+        keys = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + \
+            rng.integers(0, 2**64 - 1, 10_000, dtype=np.uint64, endpoint=True).tolist()
+        got = _seed_words(np.array(keys, dtype=np.uint64))
+        expect = np.array([np.random.SeedSequence(key).generate_state(4, np.uint64)
+                           for key in keys])
+        assert np.array_equal(got.T, expect)
+
+    @pytest.mark.parametrize("innovations", ["gaussian", "bootstrap"])
+    def test_draws_are_bitwise_equal(self, innovations):
+        from vardiag.montecarlo import _draw_innovations, _seeded
+
+        plan = _phi1_plan(innovations)
+        for index, rng in zip(range(3, 40), _seeded(plan.master_seed, 3, 40)):
+            got = _draw_innovations(plan, rng)
+            expect = _draw_innovations(plan, derive_seed(plan.master_seed, index, 0))
+            assert got.tobytes() == expect.tobytes()
+
+    def test_bounded_integers_start_from_an_empty_buffer(self):
+        # an odd count of 32-bit draws leaves half a word buffered in the generator
+        from vardiag.montecarlo import _seeded
+
+        for index, rng in zip(range(5, 25), _seeded(11, 5, 25)):
+            expect = derive_seed(11, index, 0)
+            assert np.array_equal(rng.integers(0, 7, size=5), expect.integers(0, 7, size=5))
+            assert rng.bit_generator.state == expect.bit_generator.state
+
+
 class TestEvaluateStatistics:
     def test_matches_public_operations(self):
         rng = derive_seed(3, 0)
@@ -383,22 +429,26 @@ class TestStackedReplicates:
         plan = _phi1_plan()
         clean = [mc._one_replicate(plan, i) for i in range(1, 40)]
         original_log_steps = mc._gv_log_steps
-        original_seed = mc.derive_seed
-        attempts = []
+        original_seeded = mc._seeded
+        seeded = []
 
         def stack_fails(rs, m):
             if rs.values[0].ndim > 2:
                 raise NotPositiveDefinite("forced failure of a stack")
             return original_log_steps(rs, m)
 
-        def recording(master, index, attempt=0):
-            attempts.append(attempt)
-            return original_seed(master, index, attempt)
+        def recording(master, start, stop):
+            seeded.extend(range(start, stop))
+            return original_seeded(master, start, stop)
+
+        def no_redraw(master, index, attempt=0):
+            raise AssertionError(f"replicate {index} was redrawn (attempt {attempt})")
 
         monkeypatch.setattr(mc, "_gv_log_steps", stack_fails)
-        monkeypatch.setattr(mc, "derive_seed", recording)
+        monkeypatch.setattr(mc, "_seeded", recording)
+        monkeypatch.setattr(mc, "derive_seed", no_redraw)
         assert _close_rows(mc._run_replicates(plan, 39, 1), clean)
-        assert attempts == [0] * 39
+        assert seeded == list(range(1, 40))
 
     def test_each_chunk_is_refitted_once(self, monkeypatch):
         import vardiag.montecarlo as mc

@@ -9,15 +9,26 @@ The simulator's doubling scan solves the same VARMA recursion as the
 time-step loop, so on any stationary model and any stack of paths the two
 agree to rounding.
 
+A chunk's first attempts are seeded in one pass; their generators hold
+exactly the states ``derive_seed`` gives, for any master seed and index.  A
+study's report does not depend on its worker count, and a CSV table
+restores its float64 values exactly.
+
 Every test draws its cases with ``derandomize=True``, so each run of the
 suite checks the same inputs.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from vardiag import evaluate_statistics, fit_var
+from vardiag import derive_seed, evaluate_statistics, fit_var, power_study, size_study
+from vardiag.csvio import CsvTable, read_csv, write_csv
+from vardiag.montecarlo import _seeded
 from vardiag.varma import innovation_recursion, polynomial_radius
 
 from reference import loop_recursion
@@ -109,3 +120,45 @@ def test_scan_equals_the_time_step_loop(case):
     expect = loop_recursion(phi, theta, innovations)
     assert got.shape == expect.shape
     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(-(2 ** 63), 2 ** 64 - 1), st.integers(0, 2 ** 48), st.integers(1, 40))
+def test_chunk_seeding_equals_derive_seed(master, start, width):
+    for index, rng in zip(range(start, start + width), _seeded(master, start, start + width)):
+        expect = derive_seed(master, index, 0)
+        assert rng.bit_generator.state == expect.bit_generator.state
+        assert rng.standard_normal(3).tobytes() == expect.standard_normal(3).tobytes()
+
+
+@st.composite
+def study_configs(draw):
+    study, names = draw(st.sampled_from([
+        (size_study, ("phi1", "phi2", "phi3", "phi4")),
+        (power_study, tuple(f"model{i}" for i in range(1, 9)))]))
+    models = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    ns = draw(st.lists(st.integers(30, 80), min_size=1, max_size=2, unique=True))
+    lags = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+    return study, dict(models=tuple(models), ns=tuple(ns), lags=tuple(sorted(lags)),
+                       trials=draw(st.integers(2, 3)), replicates=19,
+                       master_seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(study_configs())
+def test_study_report_does_not_depend_on_workers(config):
+    study, kwargs = config
+    assert study(workers=1, **kwargs).to_json() == study(workers=2, **kwargs).to_json()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_write_then_read_is_exact(values):
+    header = tuple(f"z{i + 1}" for i in range(values.shape[1]))
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "table.csv"
+        write_csv(path, CsvTable(header, values))
+        table = read_csv(path)
+    assert table.header == header
+    assert table.values.tobytes() == values.tobytes()

@@ -99,7 +99,9 @@ class TestPowerStudy:
 class TestStudyArguments:
     @pytest.mark.parametrize("study", [size_study, power_study])
     @pytest.mark.parametrize("bad", [dict(trials=0), dict(replicates=5),
-                                     dict(workers=0), dict(workers=-1)])
+                                     dict(workers=0), dict(workers=-1),
+                                     dict(lags=(10, 5)), dict(lags=(5, 5)),
+                                     dict(lags=(0,)), dict(lags=(-3, 5)), dict(lags=())])
     def test_rejected_before_any_trial_runs(self, monkeypatch, study, bad):
         def no_trials(*args):
             raise AssertionError("trials ran before the arguments were checked")
