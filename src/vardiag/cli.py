@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: simulate, fit, test, size-study, power-study.  Human-readable
-tables go to stdout; a machine-readable JSON document, embedding the full
-invocation and seed, goes to the path given by --out.
+tables go to stdout.  ``main`` times every command and writes its
+machine-readable JSON document, embedding the full invocation and seed, to
+the path given by --out (--meta for simulate).
 
 Exit status: 0 success, 1 usage error, 2 data or numeric error.
 """
@@ -52,10 +53,10 @@ def _name_list(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _check_flag(command: str, flag: str, value: int, least: int) -> None:
+def _check_flag(args, flag: str, value: int, least: int) -> None:
     # runs before any work, so an error raised by the work itself keeps exit 2
     if value < least:
-        raise _UsageError(f"vardiag {command}: {flag} must be at least {least}, got {value}")
+        raise _UsageError(f"vardiag {args.command}: {flag} must be at least {least}, got {value}")
 
 
 def _load_model(spec: str) -> VarmaModel:
@@ -76,43 +77,19 @@ def _load_model(spec: str) -> VarmaModel:
     )
 
 
-def _document(command: str, argv, seed, payload: dict, elapsed: float) -> dict:
-    return {
-        "command": command,
-        "invocation": list(argv),
-        "seed": seed,
-        "version": __version__,
-        "timing": {"elapsed_seconds": elapsed},
-        **payload,
-    }
-
-
-def _write_json(path, document: dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(document, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
-
-def _cmd_simulate(args, argv) -> int:
-    start = time.perf_counter()
-    _check_flag("simulate", "--n", args.n, 1)
+def _cmd_simulate(args) -> tuple:
+    _check_flag(args, "--n", args.n, 1)
     model = _load_model(args.model)
     rng = derive_seed(args.seed, 0)
     data = simulate(model, args.n, rng)
     header = tuple(f"z{i + 1}" for i in range(model.k))
     write_csv(args.out, CsvTable(header, data))
     print(f"wrote {args.n} x {model.k} simulated observations to {args.out}")
-    if args.meta:
-        _write_json(args.meta, _document(
-            "simulate", argv, args.seed,
-            {"model": args.model, "n": args.n, "out": args.out},
-            time.perf_counter() - start))
-    return 0
+    return args.seed, {"model": args.model, "n": args.n, "out": args.out}
 
 
-def _cmd_fit(args, argv) -> int:
-    start = time.perf_counter()
-    _check_flag("fit", "--order", args.order, 0)
+def _cmd_fit(args) -> tuple:
+    _check_flag(args, "--order", args.order, 0)
     table = read_csv(args.input)
     fitted = fit_var(table.values, args.order, with_intercept=not args.no_intercept)
     payload = {
@@ -127,14 +104,11 @@ def _cmd_fit(args, argv) -> int:
             "residuals": fitted.residuals.tolist(),
         }
     }
-    if args.out:
-        _write_json(args.out, _document("fit", argv, None, payload,
-                                        time.perf_counter() - start))
     print(f"fitted VAR({fitted.order}) to {args.input}: "
           f"n_eff={fitted.n_eff}, k={fitted.k}")
     for lag, mat in enumerate(fitted.phi_hat, start=1):
         print(f"phi[{lag}] = {np.array2string(mat, precision=4)}")
-    return 0
+    return None, payload
 
 
 def _chi2_rows(fitted, observed, stat_key, lags, order):
@@ -154,9 +128,8 @@ def _chi2_rows(fitted, observed, stat_key, lags, order):
     return rows
 
 
-def _cmd_test(args, argv) -> int:
-    start = time.perf_counter()
-    _check_flag("test", "--order", args.order, 0)
+def _cmd_test(args) -> tuple:
+    _check_flag(args, "--order", args.order, 0)
     if args.method == "chi2" and args.transform != "none":
         # the chi-square degrees of freedom hold for raw residuals only
         raise _UsageError(f"vardiag test: --transform {args.transform} needs --method mc")
@@ -165,12 +138,10 @@ def _cmd_test(args, argv) -> int:
         _check_lags(lags)
     except ValueError as err:
         raise _UsageError(f"vardiag test: --lags: {err}") from None
-    table = read_csv(args.input)
     stat_key = args.stat
     statistic = _STAT_NAMES[stat_key]
     transform = _TRANSFORMS[args.transform]
     with_intercept = not args.no_intercept
-
     if args.method == "mc":
         try:
             config = McConfig(
@@ -180,6 +151,9 @@ def _cmd_test(args, argv) -> int:
         except ValueError as err:
             # flag-level constraint (e.g. --reps below 19)
             raise _UsageError(f"vardiag test: {err}") from None
+    table = read_csv(args.input)
+
+    if args.method == "mc":
         report = mc_test(table.values, args.order, config,
                          with_intercept=with_intercept)
         payload = {"method": "mc", "report": report.to_dict()}
@@ -210,52 +184,33 @@ def _cmd_test(args, argv) -> int:
         print(f"{'lag':>5} {'statistic':>14} {'p-value':>10}")
         for row in rows:
             print(f"{row['lag']:>5} {row['observed']:>14.5f} {row['p_value']:>10.4f}")
-
-    if args.out:
-        _write_json(args.out, _document("test", argv, args.seed, payload,
-                                        time.perf_counter() - start))
-    return 0
+    return args.seed, payload
 
 
-def _check_study_flags(command: str, args) -> None:
-    # checked before any trial runs, so errors raised by trials keep their own exit code
+def _study_args(args) -> dict:
+    """The keyword arguments both studies take, checked before any trial runs."""
+    ns, lags = _int_list(args.n, "--n"), _int_list(args.lags, "--lags")
     try:
-        check_study_args(args.trials, args.reps, args.workers, _int_list(args.lags, "--lags"))
+        check_study_args(args.trials, args.reps, args.workers, lags, ns)
     except ValueError as err:
-        raise _UsageError(f"vardiag {command}: {err}") from None
+        # errors raised by the trials themselves keep their own exit code
+        raise _UsageError(f"vardiag {args.command}: {err}") from None
+    return dict(ns=ns, lags=lags, trials=args.trials, replicates=args.reps,
+                master_seed=args.seed, workers=args.workers)
 
 
-def _cmd_size_study(args, argv) -> int:
-    start = time.perf_counter()
-    _check_study_flags("size-study", args)
-    result = size_study(
-        models=_name_list(args.phi), ns=_int_list(args.n, "--n"),
-        lags=_int_list(args.lags, "--lags"), trials=args.trials,
-        replicates=args.reps, master_seed=args.seed, method=args.method,
-        workers=args.workers)
+def _cmd_size_study(args) -> tuple:
+    result = size_study(models=_name_list(args.phi), method=args.method, **_study_args(args))
     print(result.format_table())
-    if args.out:
-        _write_json(args.out, _document("size-study", argv, args.seed,
-                                        {"result": result.to_dict()},
-                                        time.perf_counter() - start))
-    return 0
+    return args.seed, {"result": result.to_dict()}
 
 
-def _cmd_power_study(args, argv) -> int:
-    start = time.perf_counter()
-    _check_study_flags("power-study", args)
-    _check_flag("power-study", "--fit-order", args.fit_order, 0)
-    result = power_study(
-        models=_name_list(args.model), ns=_int_list(args.n, "--n"),
-        lags=_int_list(args.lags, "--lags"), trials=args.trials,
-        replicates=args.reps, master_seed=args.seed,
-        fit_order=args.fit_order, workers=args.workers)
+def _cmd_power_study(args) -> tuple:
+    study = _study_args(args)
+    _check_flag(args, "--fit-order", args.fit_order, 0)
+    result = power_study(models=_name_list(args.model), fit_order=args.fit_order, **study)
     print(result.format_table())
-    if args.out:
-        _write_json(args.out, _document("power-study", argv, args.seed,
-                                        {"result": result.to_dict()},
-                                        time.perf_counter() - start))
-    return 0
+    return args.seed, {"result": result.to_dict()}
 
 
 def _build_parser() -> _Parser:
@@ -326,11 +281,23 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; time it and write its JSON document to --out (--meta for simulate)."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, argv)
+        start = time.perf_counter()
+        seed, payload = args.func(args)
+        path = args.meta if args.command == "simulate" else args.out
+        if path:
+            document = {"command": args.command, "invocation": argv, "seed": seed,
+                        "version": __version__,
+                        "timing": {"elapsed_seconds": time.perf_counter() - start},
+                        **payload}
+            with open(path, "w") as handle:
+                json.dump(document, handle, sort_keys=True, indent=2)
+                handle.write("\n")
+        return 0
     except _UsageError as err:
         print(err, file=sys.stderr)
         return 1

@@ -219,9 +219,9 @@ class TestReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def p_hat(exceedances: int, n_reps: int) -> float:
-    """Add-one Monte-Carlo p-value estimate."""
-    if not 0 <= exceedances <= n_reps:
+def p_hat(exceedances, n_reps: int):
+    """Add-one Monte-Carlo p-value estimate of an exceedance count, or of an array of them."""
+    if np.any((exceedances < 0) | (exceedances > n_reps)):
         raise ValueError("exceedances must lie in 0..n_reps")
     return (exceedances + 1) / (n_reps + 1)
 
@@ -420,8 +420,7 @@ def mc_pvalues(series, order: int, config: McConfig, statistics=None,
 
     exceed = (replicate_stats >= observed).sum(axis=0)
     nonpd = np.isinf(replicate_stats).sum(axis=0)
-    pvals = (exceed + 1) / (config.replicates + 1)
-    return fitted, observed, pvals, exceed, nonpd
+    return fitted, observed, p_hat(exceed, config.replicates), exceed, nonpd
 
 
 def mc_test(series, order: int, config: McConfig,

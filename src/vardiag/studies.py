@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 from ._version import __version__
 from .asymptotics import ab_params, approx_pvalue
 from .diagnostics import _lag_fits
+from .errors import InvalidModel
 from .estimate import fit_var
 from .montecarlo import (
     McConfig, _pool_map, derive_key, derive_seed, evaluate_statistics, mc_pvalues)
@@ -158,10 +159,12 @@ def _run_trials(task_fn, task_args, workers: int) -> list:
     return _pool_map(task_fn, task_args, workers, chunksize)
 
 
-def check_study_args(trials: int, replicates: int, workers: int, lags) -> None:
-    """Raise ``ValueError`` for a trial, replicate or worker count, or a lag list, out of range."""
+def check_study_args(trials: int, replicates: int, workers: int, lags, ns) -> None:
+    """Raise ``ValueError`` for a count, a lag list or a sample size out of range."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if any(n < 1 for n in ns):
+        raise ValueError(f"sample sizes must be at least 1, got {tuple(ns)}")
     # the replicate, worker and lag rules of a single test
     McConfig(replicates=replicates, workers=workers, lags=lags)
 
@@ -175,7 +178,7 @@ def _run_study(kind, trial_fn, columns, task_tail, *, models, ns, lags,
     element of ``task_tail`` is the fitted VAR order.  A stratum with no such
     lag runs no trials.
     """
-    check_study_args(trials, replicates, workers, lags)
+    check_study_args(trials, replicates, workers, lags, ns)
     order = task_tail[-1]
     per_stratum = {}
     skipped = []
@@ -210,10 +213,17 @@ def size_study(models=("phi1", "phi2", "phi3", "phi4"), ns=(100, 200, 500),
     Each trial simulates a catalog VAR(1) model, refits a VAR(1), and tests
     the residuals with the generalized-variance statistic, evaluating the
     p-value by the scaled chi-square approximation, the Monte-Carlo method,
-    or both.
+    or both.  A model that is not a VAR(1) raises ``InvalidModel`` before
+    any trial runs.
     """
     if method not in ("mc", "chi2", "both"):
         raise ValueError("method must be 'mc', 'chi2' or 'both'")
+    for name in models:
+        model = catalog(name)
+        if (model.p, model.q) != (1, 0):
+            # the refitted VAR(1) is the null, so another model would measure power
+            raise InvalidModel(f"size-study needs a VAR(1) model; {name} is a "
+                               f"VARMA({model.p}, {model.q})")
     columns = {"mc": ("mc",), "chi2": ("chi2",), "both": _SIZE_COLUMNS}[method]
     return _run_study("size-study", _size_trial, columns, (method, 1), models=models,
                       ns=ns, lags=lags, trials=trials, replicates=replicates,

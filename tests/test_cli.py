@@ -6,7 +6,7 @@ import pytest
 from reference import explosive_series
 
 import vardiag.studies as studies
-from vardiag import CsvTable, read_csv, write_csv
+from vardiag import CsvTable, __version__, read_csv, write_csv
 from vardiag.cli import main
 
 
@@ -136,6 +136,33 @@ class TestTest:
         assert code == 2
 
 
+class TestDocuments:
+    @pytest.mark.parametrize("argv, seed, payload", [
+        (["simulate", "--model", "phi1", "--n", "30", "--seed", "7", "--out", "{csv_out}",
+          "--meta", "{out}"], 7, {"model", "n", "out"}),
+        (["fit", "--input", "{csv}", "--order", "1", "--out", "{out}"], None, {"fit"}),
+        (["test", "--input", "{csv}", "--order", "1", "--lags", "3", "--reps", "19",
+          "--seed", "4", "--out", "{out}"], 4, {"method", "report"}),
+        (["size-study", "--phi", "phi1", "--n", "60", "--lags", "3", "--trials", "2",
+          "--reps", "19", "--seed", "5", "--method", "chi2", "--out", "{out}"], 5, {"result"}),
+        (["power-study", "--model", "model5", "--n", "60", "--lags", "3", "--trials", "2",
+          "--reps", "19", "--seed", "6", "--out", "{out}"], 6, {"result"}),
+    ])
+    def test_every_command_writes_the_same_header(self, argv, seed, payload, tmp_path,
+                                                  white_csv):
+        out = tmp_path / "document.json"
+        argv = [a.format(out=out, csv=white_csv, csv_out=tmp_path / "sim.csv") for a in argv]
+        assert run(argv) == 0
+        document = json.loads(out.read_text())
+        assert set(document) == {"command", "invocation", "seed", "version", "timing", *payload}
+        assert document["command"] == argv[0]
+        assert document["invocation"] == argv
+        assert document["seed"] == seed
+        assert document["version"] == __version__
+        assert set(document["timing"]) == {"elapsed_seconds"}
+        assert document["timing"]["elapsed_seconds"] >= 0.0
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         assert run(["test", "--nope"]) == 1
@@ -183,6 +210,23 @@ class TestUsageErrors:
         assert f"vardiag {argv[0]}: {flag} must be at least" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--reps", "5"], "replicates must be at least 19"),
+        (["--workers", "0"], "workers must be at least 1"),
+    ])
+    @pytest.mark.parametrize("content", [None, 'a,b\n1,2\n"1,5"\n'])
+    def test_mc_flags_are_usage_errors_before_the_input_is_read(self, flags, message, content,
+                                                                tmp_path, capsys):
+        # a missing or malformed input would exit 2 if it were read first
+        path = tmp_path / "input.csv"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "out.json"
+        assert run(["test", "--input", str(path), "--order", "1", "--lags", "5",
+                    *flags, "--out", str(out)]) == 1
+        assert f"vardiag test: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStudies:
     def test_size_study_smoke(self, tmp_path, capsys):
@@ -224,6 +268,9 @@ class TestStudies:
         ("power-study", ["--trials", "0"], "trials"),
         *[(command, [f"--lags={lags}"], "lags") for command in ("size-study", "power-study")
           for lags in ("10,5", "5,5", "0", "-3,5")],
+        ("size-study", ["--n", "0"], "sample sizes"),
+        ("size-study", ["--n=-5"], "sample sizes"),
+        ("power-study", ["--n", "0"], "sample sizes"),
     ])
     def test_out_of_range_study_flag_is_usage_error(self, command, flags, message, capsys,
                                                     monkeypatch):
@@ -235,6 +282,21 @@ class TestStudies:
         small = ["--n", "60", "--lags", "3", "--trials", "2", "--reps", "19"]
         assert run([command, *small, *flags]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, orders", [("model1", "VARMA(2, 0)"),
+                                              ("model5", "VARMA(0, 1)")])
+    def test_size_study_refuses_a_model_that_is_not_var1(self, name, orders, tmp_path,
+                                                         capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("trials ran before the models were checked")
+
+        monkeypatch.setattr(studies, "_run_trials", no_trials)
+        out = tmp_path / "size.json"
+        assert run(["size-study", "--phi", f"phi1,{name}", "--n", "80", "--lags", "3",
+                    "--trials", "2", "--reps", "19", "--method", "chi2",
+                    "--out", str(out)]) == 2
+        assert f"{name} is a {orders}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_error_inside_a_trial_keeps_its_exit_code(self, capsys):
         # fit_var finds every trial too short for the order; that is not a flag check

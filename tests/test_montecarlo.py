@@ -57,6 +57,13 @@ class TestPHat:
         with pytest.raises(ValueError):
             p_hat(5, 4)
 
+    def test_array_of_counts(self):
+        counts = np.array([[0, 49, 999], [3, 500, 998]])
+        assert np.array_equal(p_hat(counts, 999), (counts + 1) / 1000)
+        for bad in (np.array([0, 1000]), np.array([-1, 5])):
+            with pytest.raises(ValueError):
+                p_hat(bad, 999)
+
 
 class TestMarginOfError:
     def test_example_values(self):

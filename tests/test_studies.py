@@ -1,11 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import vardiag.studies as studies
 from vardiag import (
-    DegenerateResiduals, catalog, derive_seed, evaluate_statistics, fit_var, power_study,
+    DegenerateResiduals, InvalidModel, catalog, derive_seed, evaluate_statistics, fit_var, power_study,
     simulate, size_study)
 
 
@@ -101,7 +102,8 @@ class TestStudyArguments:
     @pytest.mark.parametrize("bad", [dict(trials=0), dict(replicates=5),
                                      dict(workers=0), dict(workers=-1),
                                      dict(lags=(10, 5)), dict(lags=(5, 5)),
-                                     dict(lags=(0,)), dict(lags=(-3, 5)), dict(lags=())])
+                                     dict(lags=(0,)), dict(lags=(-3, 5)), dict(lags=()),
+                                     dict(ns=(0,)), dict(ns=(60, -5))])
     def test_rejected_before_any_trial_runs(self, monkeypatch, study, bad):
         def no_trials(*args):
             raise AssertionError("trials ran before the arguments were checked")
@@ -110,6 +112,17 @@ class TestStudyArguments:
         kwargs = {**dict(ns=(60,), lags=(3,), trials=4, replicates=19), **bad}
         with pytest.raises(ValueError):
             study(**kwargs)
+
+
+    @pytest.mark.parametrize("name, orders", [("model1", "VARMA(2, 0)"),
+                                              ("model5", "VARMA(0, 1)")])
+    def test_size_study_refuses_a_null_that_is_not_var1(self, monkeypatch, name, orders):
+        def no_trials(*args):
+            raise AssertionError("trials ran before the models were checked")
+
+        monkeypatch.setattr(studies, "_run_trials", no_trials)
+        with pytest.raises(InvalidModel, match=fr"{name} is a {re.escape(orders)}"):
+            size_study(models=("phi1", name), ns=(80,), lags=(3,), trials=2, replicates=19)
 
 
 class TestStudyJson:
