@@ -21,14 +21,23 @@ error stops the stacked scoring, the chunk is rescored row by row and each
 failing row is redrawn on its own, so the retry and non-PD rules are those of
 a single replicate.  Chunk boundaries depend on the replicate count and the
 path shape only, never on the worker count.
+
+At ``workers > 1`` the chunks, and the trials of a study, run on one process
+pool that tests and studies share.  It starts at the first call that needs
+more than one process and lives until the process exits, so it helps only a
+caller that makes repeated pooled calls; a one-off call pays its start-up.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
+from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -349,13 +358,56 @@ def _replicate_chunk(args) -> list:
     return rows
 
 
+def _forget_pool() -> None:
+    """Start with no pool and a free lock; also runs in every forked child.
+
+    A child must not touch its parent's pool, and a lock a parent thread held
+    at the fork would never be released there.
+    """
+    global _POOL, _POOL_LOCK
+    # ``(process count, executor)`` or None; one pooled call at a time holds the lock.
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+_forget_pool()
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _drop_pool() -> None:
+    """Shut the pool down, if there is one, and forget it."""
+    global _POOL
+    if _POOL is not None:
+        _POOL[1].shutdown(wait=True)
+    _POOL = None
+
+
 def _pool_map(fn, tasks, workers: int, chunksize: int = 1) -> list:
-    """``[fn(t) for t in tasks]``, across at most one process per task when ``workers > 1``."""
+    """``[fn(t) for t in tasks]``, across at most one process per task when ``workers > 1``.
+
+    The pool outlives the call and serves the next one of the same process
+    count.  Another count shuts it down before a new one forks, so the process
+    never forks while a second pool's manager thread runs.  Pooled calls from
+    several threads take turns.  A broken pool is dropped and its error
+    raised.  ``concurrent.futures`` joins the workers when the interpreter
+    exits.
+    """
+    global _POOL
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != workers:
+            _drop_pool()
+            _POOL = (workers, ProcessPoolExecutor(max_workers=workers))
+            # A multiprocessing child joins its children before that exit hook
+            # runs, so shut the pool down first, ahead of the call queue's own
+            # finalizer (priority 10) that must still carry the workers' sentinels.
+            Finalize(None, _drop_pool, exitpriority=20)
+        try:
+            return list(_POOL[1].map(fn, tasks, chunksize=chunksize))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
 
 
 def _chunk_rows(plan: _ReplicatePlan) -> int:

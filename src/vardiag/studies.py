@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 from ._version import __version__
 from .asymptotics import ab_params, approx_pvalue
@@ -154,11 +155,6 @@ def _power_trial(args) -> dict:
     return rejections
 
 
-def _run_trials(task_fn, task_args, workers: int) -> list:
-    chunksize = max(1, len(task_args) // (8 * workers))
-    return _pool_map(task_fn, task_args, workers, chunksize)
-
-
 def check_study_args(trials: int, replicates: int, workers: int, lags, ns) -> None:
     """Raise ``ValueError`` for a count, a lag list or a sample size out of range."""
     if trials < 1:
@@ -176,22 +172,27 @@ def _run_study(kind, trial_fn, columns, task_tail, *, models, ns, lags,
     Each task is ``(name, n, trial, master_seed, lags, replicates, *task_tail)``,
     where ``lags`` are the stratum's lags that pass the lag guard and the last
     element of ``task_tail`` is the fitted VAR order.  A stratum with no such
-    lag runs no trials.
+    lag runs no trials.  Every model name is resolved before the first trial,
+    and all strata's trials run in one pool map.
     """
     check_study_args(trials, replicates, workers, lags, ns)
     order = task_tail[-1]
-    per_stratum = {}
+    strata = []          # (model, n, trials run)
+    tasks = []
     skipped = []
     for name in models:
         k = catalog(name).k
         for n in ns:
             usable = tuple(lag for lag in lags if _lag_fits(n - order, lag, k))
             skipped.extend((name, n, lag) for lag in lags if lag not in usable)
-            tasks = [(name, n, trial, master_seed, usable, replicates, *task_tail)
-                     for trial in range(trials) if usable]
-            per_stratum[(name, n)] = _run_trials(trial_fn, tasks, workers)
+            runs = trials if usable else 0
+            strata.append((name, n, runs))
+            tasks.extend((name, n, trial, master_seed, usable, replicates, *task_tail)
+                         for trial in range(runs))
+    results = iter(_pool_map(trial_fn, tasks, workers, max(1, len(tasks) // (8 * workers))))
     cells = []
-    for (model, n), flag_dicts in per_stratum.items():
+    for model, n, runs in strata:
+        flag_dicts = list(islice(results, runs))
         for lag in lags:
             for column in columns:
                 key = (lag, column)

@@ -277,7 +277,7 @@ class TestStudies:
         def no_trials(*args):
             raise AssertionError("trials ran before the flags were checked")
 
-        monkeypatch.setattr(studies, "_run_trials", no_trials)
+        monkeypatch.setattr(studies, "_pool_map", no_trials)
         # the last occurrence of a flag wins, so the case's flags override these
         small = ["--n", "60", "--lags", "3", "--trials", "2", "--reps", "19"]
         assert run([command, *small, *flags]) == 1
@@ -290,13 +290,22 @@ class TestStudies:
         def no_trials(*args):
             raise AssertionError("trials ran before the models were checked")
 
-        monkeypatch.setattr(studies, "_run_trials", no_trials)
+        monkeypatch.setattr(studies, "_pool_map", no_trials)
         out = tmp_path / "size.json"
         assert run(["size-study", "--phi", f"phi1,{name}", "--n", "80", "--lags", "3",
                     "--trials", "2", "--reps", "19", "--method", "chi2",
                     "--out", str(out)]) == 2
         assert f"{name} is a {orders}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unknown_model_in_any_position_exits_before_any_trial(self, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("trials ran before every model name was resolved")
+
+        monkeypatch.setattr(studies, "_pool_map", no_trials)
+        assert run(["power-study", "--model", "model3,bogus", "--n", "60", "--lags", "3",
+                    "--trials", "2", "--reps", "19"]) == 2
+        assert "unknown model 'bogus'" in capsys.readouterr().err
 
     def test_error_inside_a_trial_keeps_its_exit_code(self, capsys):
         # fit_var finds every trial too short for the order; that is not a flag check

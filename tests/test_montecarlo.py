@@ -1,11 +1,22 @@
 import json
 import math
-from dataclasses import asdict
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from reference import explosive_series, persistent_series
+
+import vardiag
+import vardiag.montecarlo as mc
 
 from vardiag import (
     Autocorrelations,
@@ -514,9 +525,7 @@ class TestStackedReplicates:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20, f"{rows}-row chunk at n={n} peaked at {peak} bytes"
 
-    def test_pool_starts_at_most_one_process_per_chunk(self, monkeypatch):
-        import vardiag.montecarlo as mc
-
+    def test_pool_starts_at_most_one_process_per_chunk(self, cold_pool, monkeypatch):
         series = simulate(catalog("phi1"), 200, derive_seed(20, 0))
         base = dict(master_seed=21, lags=(2, 5), statistic="gv")
         solo = {reps: mc_test(series, 1, McConfig(replicates=reps, **base)).to_json()
@@ -544,3 +553,135 @@ class TestStackedReplicates:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ReplicateFailure, match="not finite"):
             _run_replicates(plan, 19, 1)
+
+
+@pytest.fixture
+def cold_pool():
+    """An empty pool cache before and after the test, so it sees every executor it starts."""
+    mc._drop_pool()
+    yield
+    mc._drop_pool()
+
+
+def _recorded_pools(monkeypatch) -> list:
+    """Patch the executor class to log each start and each finished shutdown."""
+    events = []
+
+    class Recording(mc.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            events.append(("start", max_workers))
+            super().__init__(max_workers=max_workers)
+
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            events.append(("shutdown", self._max_workers))
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", Recording)
+    return events
+
+
+def _exit_worker(_):
+    os._exit(3)
+
+
+def _pooled_call_in_child(conn):
+    conn.send((mc._pool_map(abs, [-1, -2, -3], 2),
+               [p.pid for p in multiprocessing.active_children()]))
+    conn.close()
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestPool:
+    def test_back_to_back_tests_share_one_executor(self, cold_pool, monkeypatch):
+        events = _recorded_pools(monkeypatch)
+        series = simulate(catalog("phi1"), 200, derive_seed(22, 0))
+        config = McConfig(replicates=199, master_seed=23, lags=(2, 5), workers=2)
+        first, second = (mc_test(series, 1, config).to_json() for _ in range(2))
+        assert first == second == mc_test(series, 1, replace(config, workers=1)).to_json()
+        assert events == [("start", 2)]
+
+    def test_new_process_count_shuts_the_old_pool_down_first(self, cold_pool, monkeypatch):
+        events = _recorded_pools(monkeypatch)
+        for workers in (2, 2, 3):
+            assert mc._pool_map(abs, [-1, -2, -3], workers) == [1, 2, 3]
+        assert events == [("start", 2), ("shutdown", 2), ("start", 3)]
+
+    def test_broken_pool_raises_once_then_a_fresh_pool_serves(self, cold_pool):
+        with pytest.raises(BrokenProcessPool):
+            mc._pool_map(_exit_worker, [0, 1], 2)
+        assert mc._POOL is None
+        assert mc._pool_map(abs, [-1, -2], 2) == [1, 2]
+
+    def test_forked_child_starts_its_own_pool_and_exits(self, cold_pool):
+        assert mc._pool_map(abs, [-1, -2], 2) == [1, 2]
+        ours = {p.pid for p in multiprocessing.active_children()}
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_pooled_call_in_child, args=(send,))
+        child.start()
+        send.close()
+        theirs = []
+        try:
+            assert recv.poll(60)
+            result, theirs = recv.recv()
+            assert result == [1, 2, 3]
+            assert len(ours) == len(theirs) == 2 and not ours & set(theirs)
+            # a multiprocessing child joins its children at exit, so its pool must end first
+            child.join(30)
+            assert child.exitcode == 0
+        finally:
+            if child.exitcode is None:
+                child.kill()
+                child.join()
+                for pid in filter(_alive, theirs):
+                    os.kill(pid, 9)
+        assert mc._pool_map(abs, [-4, -5], 2) == [4, 5]
+        assert {p.pid for p in multiprocessing.active_children()} == ours
+
+    def test_threads_take_turns_on_one_pool(self, cold_pool, monkeypatch):
+        events = _recorded_pools(monkeypatch)
+        tasks = list(range(-6, 0))
+
+        def calls(workers):
+            return [mc._pool_map(abs, tasks, workers) for _ in range(4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as threads:
+                outcomes = list(threads.map(calls, [2, 3, 2, 3]))
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes == [[[6, 5, 4, 3, 2, 1]] * 4] * 4
+        starts = sum(kind == "start" for kind, _ in events)
+        assert starts - sum(kind == "shutdown" for kind, _ in events) == 1
+
+    def test_no_pool_worker_outlives_its_process(self):
+        script = textwrap.dedent("""
+            import multiprocessing
+            import vardiag as vd
+
+            series = vd.simulate(vd.catalog("phi1"), 200, vd.derive_seed(24, 0))
+            vd.mc_test(series, 1, vd.McConfig(master_seed=25, workers=2))
+            pids = {p.pid for p in multiprocessing.active_children()}
+            vd.power_study(models=("model3",), ns=(50,), lags=(5,), trials=4,
+                           replicates=19, workers=2)
+            pids |= {p.pid for p in multiprocessing.active_children()}
+            print(*sorted(pids))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(vardiag.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=env, check=True)
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2, "the test and the study share one two-process pool"
+        deadline = time.monotonic() + 5
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _alive(pid)]

@@ -108,7 +108,7 @@ class TestStudyArguments:
         def no_trials(*args):
             raise AssertionError("trials ran before the arguments were checked")
 
-        monkeypatch.setattr(studies, "_run_trials", no_trials)
+        monkeypatch.setattr(studies, "_pool_map", no_trials)
         kwargs = {**dict(ns=(60,), lags=(3,), trials=4, replicates=19), **bad}
         with pytest.raises(ValueError):
             study(**kwargs)
@@ -120,7 +120,7 @@ class TestStudyArguments:
         def no_trials(*args):
             raise AssertionError("trials ran before the models were checked")
 
-        monkeypatch.setattr(studies, "_run_trials", no_trials)
+        monkeypatch.setattr(studies, "_pool_map", no_trials)
         with pytest.raises(InvalidModel, match=fr"{name} is a {re.escape(orders)}"):
             size_study(models=("phi1", name), ns=(80,), lags=(3,), trials=2, replicates=19)
 
