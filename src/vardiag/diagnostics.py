@@ -18,6 +18,9 @@ row-stacked autocorrelation matrices under every mode; the test suite keeps
 that Kronecker form as its reference and checks the equality numerically.
 The generalized variance has one route too: ``gv_stat``, ``gv_decompose`` and
 the Monte-Carlo scorer read one Cholesky factor's pivots through ``log1p``.
+That factor skips ``cholesky_lower``'s symmetry and scale checks, which a
+block-Toeplitz matrix with a unit diagonal passes by construction, and keeps
+its pivot floor.
 
 ``sample_acov``, ``racf``, ``gv_decompose``, ``block_toeplitz`` and
 ``residual_transform`` also accept a stack of residual series of shape
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateResiduals, NotPositiveDefinite
 # log_det_spd is not called here; the benchmark tracer still hooks this name
-from .linalg import _cross, cholesky_lower, log_det_spd, spd_inverse
+from .linalg import PIVOT_RTOL, _cross, _diagonal, cholesky_lower, log_det_spd, spd_inverse
 
 RACF_MODES = ("hosking", "li_mcleod", "chitturi")
 # A 256 KiB float budget with two uses: a stack of block-Toeplitz matrices is
@@ -234,6 +237,18 @@ def block_toeplitz(racfs: Autocorrelations, m: int) -> np.ndarray:
     return _assemble_block_toeplitz(np.stack(racfs.values[:m + 1], axis=-3))
 
 
+def _unit_diagonal_cholesky(t: np.ndarray) -> np.ndarray:
+    """``cholesky_lower`` of exactly symmetric matrices with a unit diagonal: their scale is 1,
+    so only the pivot floor, ``PIVOT_RTOL`` times the diagonal, is checked."""
+    try:
+        lower = np.linalg.cholesky(t)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("matrix is not positive definite") from None
+    if (_diagonal(lower) ** 2 <= PIVOT_RTOL).any():
+        raise NotPositiveDefinite("pivot at or below relative tolerance floor")
+    return lower
+
+
 def _gv_log_steps(racfs: Autocorrelations, m: int) -> np.ndarray:
     """Log step determinants log det(T_l) - log det(T_{l-1}), l = 1..m, shape ``(..., m)``.
 
@@ -250,7 +265,7 @@ def _gv_log_steps(racfs: Autocorrelations, m: int) -> np.ndarray:
     step = max(1, _FACTOR_FLOATS // ((m + 1) * racfs.k) ** 2)
     row_sums = []
     for start in range(0, rows.shape[0], step):
-        factor = cholesky_lower(_assemble_block_toeplitz(rows[start:start + step]))
+        factor = _unit_diagonal_cholesky(_assemble_block_toeplitz(rows[start:start + step]))
         np.einsum("...ii->...i", factor)[...] = 0.0
         row_sums.append(np.einsum("...ij,...ij->...i", factor, factor))
     log_pivots_sq = np.log1p(-np.concatenate(row_sums)).reshape(*values.shape[:-1])

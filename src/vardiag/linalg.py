@@ -4,7 +4,9 @@ All routines operate on plain float64 numpy arrays.  Problem sizes here are
 at most a few hundred rows, so everything is dense and unstructured.
 ``cholesky_lower`` and ``spd_inverse`` also accept a stack of matrices of
 shape ``(..., n, n)``; every check applies to each matrix on its own, and the
-stack is refused as a whole if any member fails.
+stack is refused as a whole if any member fails.  ``cholesky_lower`` refuses
+non-finite input; the gv factor in ``diagnostics`` skips only the checks that
+its block-Toeplitz construction makes true.
 """
 
 from __future__ import annotations
@@ -34,14 +36,16 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor with positive diagonal.
 
-    Raises :class:`NotPositiveDefinite` when any pivot falls at or below
-    ``PIVOT_RTOL * max(diag(a))``, which flags singular or indefinite input
-    rather than double-precision rounding.  On a stack of shape
-    ``(..., n, n)`` the symmetry test and the pivot floor use each matrix's
-    own scale, and one failing member fails the whole call.
+    Raises :class:`NotPositiveDefinite` when an entry is not finite, or when
+    a pivot falls at or below ``PIVOT_RTOL * max(diag(a))``, which flags
+    singular or indefinite input rather than double-precision rounding.  On a
+    stack of shape ``(..., n, n)`` the symmetry test and the pivot floor use
+    each matrix's own scale, and one failing member fails the whole call.
     """
     a = np.asarray(a, dtype=float)
     _require_square(a)
+    if not np.isfinite(a).all():
+        raise NotPositiveDefinite("matrix has non-finite entries")
     if a.size:
         scale = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
         # a - a' is antisymmetric, so its largest entry is its largest magnitude

@@ -14,13 +14,14 @@ attempts are seeded in one vectorised pass that yields exactly the generators
 
 Replicates run in contiguous index chunks of one width: as many rows as fit
 their simulated paths into ``_FACTOR_FLOATS`` floats, and never fewer than
-``_CHUNK``.  A chunk's first attempts are simulated by one doubling scan, then
-refitted and scored as one stack: ``fit_var``, ``sample_acov``, ``racf``, the
-block-Toeplitz Cholesky and the Q terms each run once per chunk.  If a numeric
-error stops the stacked scoring, the chunk is rescored row by row and each
-failing row is redrawn on its own, so the retry and non-PD rules are those of
-a single replicate.  Chunk boundaries depend on the replicate count and the
-path shape only, never on the worker count.
+``_CHUNK``.  A chunk's first attempts are drawn into one buffer, coloured or
+gathered once, simulated by one doubling scan, then refitted and scored as one
+stack: ``fit_var``, ``sample_acov``, ``racf``, the block-Toeplitz Cholesky and
+the Q terms each run once per chunk.  If a numeric error stops the stacked
+scoring, the chunk is rescored row by row and each failing row is redrawn on
+its own, so the retry and non-PD rules are those of a single replicate.  Chunk
+boundaries depend on the replicate count and the path shape only, never on the
+worker count.
 
 At ``workers > 1`` the chunks, and the trials of a study, run on one process
 pool that tests and studies share.  It starts at the first call that needs
@@ -131,22 +132,29 @@ def _seed_words(keys: np.ndarray) -> np.ndarray:
     return halves[0::2] | halves[1::2] << 32
 
 
-def _seeded(master: int, start: int, stop: int):
+class _seeded:
     """Generators of ``derive_seed(master, i, 0)`` for i in start..stop-1, seeded in one pass.
 
     One generator is reset to each replicate's PCG64 state in turn, so a
-    draw must be taken before the next one is yielded.
+    draw must be taken before the next one is yielded; the length sizes a draw buffer.
     """
-    words = _seed_words(derive_key(master, np.arange(start, stop, dtype=np.uint64), 0))
-    rng = np.random.Generator(np.random.PCG64(0))
-    for init_hi, init_lo, seq_hi, seq_lo in words.T.tolist():
-        # PCG64's srandom: inc = 2·seq + 1, state = (inc + init)·M + inc (mod 2**128)
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128
-        rng.bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        yield rng
+
+    def __init__(self, master: int, start: int, stop: int):
+        self._words = _seed_words(derive_key(master, np.arange(start, stop, dtype=np.uint64), 0))
+
+    def __len__(self) -> int:
+        return self._words.shape[1]
+
+    def __iter__(self):
+        rng = np.random.Generator(np.random.PCG64(0))
+        for init_hi, init_lo, seq_hi, seq_lo in self._words.T.tolist():
+            # PCG64's srandom: inc = 2·seq + 1, state = (inc + init)·M + inc (mod 2**128)
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128
+            rng.bit_generator.state = {"bit_generator": "PCG64",
+                                       "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def _check_lags(lags) -> tuple:
@@ -300,12 +308,19 @@ class _ReplicatePlan:
     master_seed: int
 
 
-def _draw_innovations(plan: _ReplicatePlan, rng: np.random.Generator) -> np.ndarray:
+def _draw_innovations(plan: _ReplicatePlan, rngs) -> np.ndarray:
+    """One replicate's innovations per generator, in one buffer coloured or gathered once."""
     steps = burn_in_length(plan.order, 0) + plan.n
     if plan.pool is not None:
-        return plan.pool[rng.integers(0, plan.pool.shape[0], size=steps)]
+        idx = np.empty((len(rngs), steps), dtype=np.int64)
+        for row, rng in zip(idx, rngs):
+            row[:] = rng.integers(0, plan.pool.shape[0], size=steps)
+        return plan.pool[idx]
     k = plan.innov_chol.shape[0]
-    return rng.standard_normal((steps, k)) @ plan.innov_chol.T
+    noise = np.empty((len(rngs), steps, k))
+    for row, rng in zip(noise, rngs):
+        rng.standard_normal(out=row)
+    return (noise.reshape(-1, k) @ plan.innov_chol.T).reshape(noise.shape)
 
 
 def _score_path(plan: _ReplicatePlan, path: np.ndarray) -> np.ndarray:
@@ -328,7 +343,7 @@ def _one_replicate(plan: _ReplicatePlan, index: int, first_attempt: int = 0) -> 
     for attempt in range(first_attempt, _MAX_ATTEMPTS):
         rng = derive_seed(plan.master_seed, index, attempt)
         try:
-            path = innovation_recursion(plan.phi, (), _draw_innovations(plan, rng))
+            path = innovation_recursion(plan.phi, (), _draw_innovations(plan, [rng])[0])
             return _score_path(plan, path)
         except _RETRIED as err:
             last_error = err
@@ -343,8 +358,8 @@ def _replicate_chunk(args) -> list:
     redrawn on its own from attempt 1.
     """
     plan, start, stop = args
-    paths = innovation_recursion(plan.phi, (), np.stack([
-        _draw_innovations(plan, rng) for rng in _seeded(plan.master_seed, start, stop)]))
+    paths = innovation_recursion(
+        plan.phi, (), _draw_innovations(plan, _seeded(plan.master_seed, start, stop)))
     try:
         return list(_score_path(plan, paths))
     except _RETRIED:

@@ -17,7 +17,8 @@ from vardiag import (
     residual_transform,
     sample_acov,
 )
-from vardiag.linalg import log_det_spd, spd_inverse
+from vardiag.diagnostics import _unit_diagonal_cholesky
+from vardiag.linalg import cholesky_lower, log_det_spd, spd_inverse
 from vardiag.montecarlo import _gv_row
 
 
@@ -367,6 +368,21 @@ class TestGvNearZero:
         for value in got:
             assert abs(value - gv) <= 1e-14 * gv
         assert abs(gv_decompose(rs, 1).eta_sq[0] - eta_sq) <= 1e-14 * eta_sq
+
+
+class TestGvFactorRoute:
+    """The gv factor keeps ``cholesky_lower``'s pivot floor at a unit diagonal."""
+
+    @pytest.mark.parametrize("c, refused", [(1 - 1e-13, True), (1 - 1e-11, False)])
+    def test_pivot_floor_matches_cholesky_lower(self, c, refused):
+        t = np.array([[1.0, c], [c, 1.0]])
+        assert np.linalg.cholesky(t)[1, 1] > 0.0  # LAPACK factors both
+        for route in (cholesky_lower, _unit_diagonal_cholesky):
+            if refused:
+                with pytest.raises(NotPositiveDefinite, match="pivot"):
+                    route(t)
+            else:
+                assert np.array_equal(route(t), cholesky_lower(t))
 
 
 class TestDeterminantEqualityAcrossModes:

@@ -61,9 +61,26 @@ class TestCholesky:
         with pytest.raises(ValueError):
             cholesky_lower([[1.0, 0.5], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, bad, where):
+        a = np.eye(2)
+        a[where] = a[where[::-1]] = bad
+        for route in (cholesky_lower, spd_inverse, log_det_spd):
+            with pytest.raises(NotPositiveDefinite, match="non-finite"):
+                route(a)
+
 
 class TestStacks:
     """A stack is factored matrix by matrix, each against its own scale."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_member_fails_the_stack(self, bad):
+        stack = np.stack([np.eye(3)] * 4)
+        stack[2, 0, 1] = stack[2, 1, 0] = bad
+        for route in (cholesky_lower, spd_inverse):
+            with pytest.raises(NotPositiveDefinite, match="non-finite"):
+                route(stack)
 
     def test_stack_equals_each_member(self):
         rng = np.random.default_rng(6)

@@ -140,9 +140,10 @@ class TestSeededChunks:
         from vardiag.montecarlo import _draw_innovations, _seeded
 
         plan = _phi1_plan(innovations)
-        for index, rng in zip(range(3, 40), _seeded(plan.master_seed, 3, 40)):
-            got = _draw_innovations(plan, rng)
-            expect = _draw_innovations(plan, derive_seed(plan.master_seed, index, 0))
+        chunk = _draw_innovations(plan, _seeded(plan.master_seed, 3, 40))
+        assert len(chunk) == 37
+        for index, got in zip(range(3, 40), chunk):
+            expect = _draw_innovations(plan, [derive_seed(plan.master_seed, index, 0)])[0]
             assert got.tobytes() == expect.tobytes()
 
     def test_bounded_integers_start_from_an_empty_buffer(self):
@@ -153,6 +154,31 @@ class TestSeededChunks:
             expect = derive_seed(11, index, 0)
             assert np.array_equal(rng.integers(0, 7, size=5), expect.integers(0, 7, size=5))
             assert rng.bit_generator.state == expect.bit_generator.state
+
+
+class TestChunkDraw:
+    """A chunk's draws, filled into one buffer and coloured once, are one replicate's each."""
+
+    @pytest.mark.parametrize("width", [1, 32, 102])
+    @pytest.mark.parametrize("model, innovations", [("phi1", "gaussian"), ("model8", "gaussian"),
+                                                    ("phi1", "bootstrap")])
+    def test_rows_equal_the_per_replicate_formula(self, model, innovations, width):
+        from vardiag.montecarlo import _build_plan, _draw_innovations, _seeded
+
+        series = simulate(catalog(model), 60, derive_seed(22, 0))
+        config = McConfig(replicates=199, master_seed=23, lags=(2,), innovations=innovations)
+        plan = _build_plan(fit_var(series, 1), 60, config, ("gv",))
+        k = series.shape[1]
+        steps = mc.burn_in_length(plan.order, 0) + plan.n
+        got = _draw_innovations(plan, _seeded(plan.master_seed, 7, 7 + width))
+        assert got.shape == (width, steps, k)
+        for index, row in zip(range(7, 7 + width), got):
+            rng = derive_seed(plan.master_seed, index, 0)
+            if innovations == "gaussian":
+                expect = rng.standard_normal((steps, k)) @ plan.innov_chol.T
+            else:
+                expect = plan.pool[rng.integers(0, len(plan.pool), size=steps)]
+            assert row.tobytes() == expect.tobytes()
 
 
 class TestEvaluateStatistics:
@@ -382,7 +408,7 @@ class TestStackedReplicates:
         plan = _phi1_plan()
         clean = [mc._one_replicate(plan, i) for i in range(1, 40)]
         # the series replicate 3 simulates on its first attempt
-        noise = mc._draw_innovations(plan, derive_seed(plan.master_seed, 3, 0))
+        noise = mc._draw_innovations(plan, [derive_seed(plan.master_seed, 3, 0)])[0]
         burn = mc.burn_in_length(plan.order, 0)
         first = plan.mean + mc.innovation_recursion(plan.phi, (), noise)[burn:]
         original = mc.fit_var

@@ -9,6 +9,11 @@ The simulator's doubling scan solves the same VARMA recursion as the
 time-step loop, so on any stationary model and any stack of paths the two
 agree to rounding.
 
+The generalized variance factors its block-Toeplitz stacks without
+``cholesky_lower``'s general-input checks.  Those matrices are exactly
+symmetric with a unit diagonal, so the short route gives the same factor and
+refuses the same stacks.
+
 A chunk's first attempts are seeded in one pass; their generators hold
 exactly the states ``derive_seed`` gives, for any master seed and index.  A
 study's report does not depend on its worker count, and a CSV table
@@ -22,12 +27,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vardiag import derive_seed, evaluate_statistics, fit_var, power_study, size_study
+from vardiag import (NotPositiveDefinite, cholesky_lower, derive_seed, evaluate_statistics,
+                     fit_var, power_study, racf, sample_acov, size_study)
 from vardiag.csvio import CsvTable, read_csv, write_csv
+from vardiag.diagnostics import _assemble_block_toeplitz, _unit_diagonal_cholesky
 from vardiag.montecarlo import _seeded
 from vardiag.varma import innovation_recursion, polynomial_radius
 
@@ -93,6 +100,43 @@ def test_random_stack_scores_as_its_rows(case, batch, transform, with_intercept)
         # each statistic's row against its own scale, so values near zero need no own bound
         scale = np.abs(expect).max(axis=-1)
         assert np.all(np.abs(got - expect).max(axis=-1) <= 1e-12 * scale)
+
+
+@st.composite
+def hosking_stacks(draw):
+    """Hosking autocorrelations R_0..R_m of a stack of series; one member's lags may be inflated."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers((m + 1) * k + 1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rs = racf(sample_acov(rng.standard_normal((draw(st.integers(1, 6)), n, k)), m), "hosking")
+    values = np.stack(rs.values, axis=-3)
+    # autocorrelations scaled past their sample values may leave the PD cone
+    values[draw(st.integers(0, len(values) - 1)), 1:] *= draw(st.floats(1.0, 4.0))
+    return values
+
+
+def _factor_or_none(route, t):
+    try:
+        return route(t)
+    except NotPositiveDefinite:
+        return None
+
+
+# the first member is PD; the second's order-3 matrix is indefinite
+@example(np.array([[[[1.0]], [[0.3]], [[0.1]], [[0.05]], [[0.02]]],
+                   [[[1.0]], [[0.5]], [[0.25]], [[1.5]], [[0.1]]]]))
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(hosking_stacks())
+def test_gv_factor_route_equals_cholesky_lower(values):
+    t = _assemble_block_toeplitz(values)
+    assert np.array_equal(t, np.swapaxes(t, -1, -2))
+    assert (np.diagonal(t, axis1=-2, axis2=-1) == 1.0).all()
+    expect = _factor_or_none(cholesky_lower, t)
+    got = _factor_or_none(_unit_diagonal_cholesky, t)
+    assert (got is None) == (expect is None)
+    if expect is not None:
+        assert np.array_equal(got, expect)
 
 
 @st.composite
