@@ -49,10 +49,6 @@ def _int_list(text: str, flag: str) -> tuple:
     return values
 
 
-def _name_list(text: str) -> tuple:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
 def _check_flag(args, flag: str, value: int, least: int) -> None:
     # runs before any work, so an error raised by the work itself keeps exit 2
     if value < least:
@@ -187,28 +183,29 @@ def _cmd_test(args) -> tuple:
     return args.seed, payload
 
 
-def _study_args(args) -> dict:
+def _study_args(args, names: str) -> dict:
     """The keyword arguments both studies take, checked before any trial runs."""
+    models = tuple(part.strip() for part in names.split(",") if part.strip())
     ns, lags = _int_list(args.n, "--n"), _int_list(args.lags, "--lags")
     try:
-        check_study_args(args.trials, args.reps, args.workers, lags, ns)
+        check_study_args(models, args.trials, args.reps, args.workers, lags, ns)
     except ValueError as err:
         # errors raised by the trials themselves keep their own exit code
         raise _UsageError(f"vardiag {args.command}: {err}") from None
-    return dict(ns=ns, lags=lags, trials=args.trials, replicates=args.reps,
+    return dict(models=models, ns=ns, lags=lags, trials=args.trials, replicates=args.reps,
                 master_seed=args.seed, workers=args.workers)
 
 
 def _cmd_size_study(args) -> tuple:
-    result = size_study(models=_name_list(args.phi), method=args.method, **_study_args(args))
+    result = size_study(method=args.method, **_study_args(args, args.phi))
     print(result.format_table())
     return args.seed, {"result": result.to_dict()}
 
 
 def _cmd_power_study(args) -> tuple:
-    study = _study_args(args)
+    study = _study_args(args, args.model)
     _check_flag(args, "--fit-order", args.fit_order, 0)
-    result = power_study(models=_name_list(args.model), fit_order=args.fit_order, **study)
+    result = power_study(fit_order=args.fit_order, **study)
     print(result.format_table())
     return args.seed, {"result": result.to_dict()}
 

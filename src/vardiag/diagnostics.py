@@ -204,7 +204,7 @@ def portmanteau_q(acf: Autocovariances, m: int, variant: str = "classic") -> flo
         raise ValueError(f"variant must be one of {Q_VARIANTS}, got {variant!r}")
     if not 1 <= m <= acf.max_lag:
         raise ValueError(f"m must be within 1..{acf.max_lag}, got {m}")
-    return float(_q_weights(acf.n_eff, m, variant) @ _q_lag_terms(acf, m))
+    return float(np.cumsum(_q_weights(acf.n_eff, m, variant) * _q_lag_terms(acf, m))[-1])
 
 
 def _assemble_block_toeplitz(values: np.ndarray) -> np.ndarray:
@@ -283,7 +283,7 @@ def gv_stat(racfs: Autocorrelations, m: int, n_eff: int) -> float:
     if racfs.values[0].ndim > 2:
         raise ValueError("gv_stat scores one series; gv_decompose takes a stack")
     try:
-        return -n_eff * float(_gv_log_steps(racfs, m).sum())
+        return -n_eff * float(np.cumsum(_gv_log_steps(racfs, m))[-1])
     except NotPositiveDefinite:
         return math.inf
 

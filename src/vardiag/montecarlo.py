@@ -9,8 +9,8 @@ rescores.  The p-value at each lag is the add-one exceedance proportion
 Replicates are seeded individually from a 64-bit mix of (master seed,
 replicate index, attempt), so the report is identical whatever the worker
 count; aggregation is a commutative exceedance count.  A chunk's first
-attempts are seeded in one vectorised pass that yields exactly the generators
-``derive_seed`` builds; redraws go through ``derive_seed``.
+attempts hash their keys in one vectorised pass, and numpy's ``PCG64`` seeds
+from those words exactly as ``derive_seed`` does; redraws use ``derive_seed``.
 
 Replicates run in contiguous index chunks of one width: as many rows as fit
 their simulated paths into ``_FACTOR_FLOATS`` floats, and never fewer than
@@ -33,14 +33,16 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from multiprocessing.util import Finalize
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ._version import __version__
 from .diagnostics import (
@@ -76,8 +78,6 @@ _MAX_ATTEMPTS = 10
 _CHUNK = 32
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _splitmix64(state: int) -> int:
@@ -115,8 +115,9 @@ def _hasher(const: int, mult: int):
 def _seed_words(keys: np.ndarray) -> np.ndarray:
     """``SeedSequence(key).generate_state(4, np.uint64)`` for every uint64 key, as columns.
 
-    A key is the entropy words ``[lo, hi]`` (a key below 2**32 hashes the
-    same as ``[lo, 0]``), mixed into a pool of 4 words and drawn out as 8.
+    ``PCG64(key)`` seeds itself from these words.  A key is the entropy words
+    ``[lo, hi]`` (a key below 2**32 hashes the same as ``[lo, 0]``), mixed
+    into a pool of 4 words and drawn out as 8.
     """
     hashmix = _hasher(0x43B0D7E5, 0x931E8875)
     zero = np.zeros(keys.shape, np.uint32)
@@ -132,29 +133,32 @@ def _seed_words(keys: np.ndarray) -> np.ndarray:
     return halves[0::2] | halves[1::2] << 32
 
 
-class _seeded:
-    """Generators of ``derive_seed(master, i, 0)`` for i in start..stop-1, seeded in one pass.
+@dataclass
+class _Words(ISeedSequence):
+    """A seed sequence whose state is already drawn: one key's ``_seed_words`` for ``PCG64``."""
 
-    One generator is reset to each replicate's PCG64 state in turn, so a
-    draw must be taken before the next one is yielded; the length sizes a draw buffer.
-    """
+    words: np.ndarray
 
-    def __init__(self, master: int, start: int, stop: int):
-        self._words = _seed_words(derive_key(master, np.arange(start, stop, dtype=np.uint64), 0))
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
-    def __len__(self) -> int:
-        return self._words.shape[1]
 
-    def __iter__(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        for init_hi, init_lo, seq_hi, seq_lo in self._words.T.tolist():
-            # PCG64's srandom: inc = 2·seq + 1, state = (inc + init)·M + inc (mod 2**128)
-            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-            state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128
-            rng.bit_generator.state = {"bit_generator": "PCG64",
-                                       "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
-            yield rng
+def _seeded(master: int, start: int, stop: int) -> list:
+    """Generators of ``derive_seed(master, i, 0)`` for i in start..stop-1, hashed in one pass."""
+    words = _seed_words(derive_key(master, np.arange(start, stop, dtype=np.uint64), 0))
+    # PCG64 reads each key's words straight from memory, so the rows must be contiguous
+    return [np.random.Generator(np.random.PCG64(_Words(w))) for w in np.ascontiguousarray(words.T)]
+
+
+def _check_count(name: str, value, least: int) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is an integer >= ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
 
 
 def _check_lags(lags) -> tuple:
@@ -181,8 +185,7 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.replicates < 19:
-            raise ValueError("replicates must be at least 19")
+        object.__setattr__(self, "replicates", _check_count("replicates", self.replicates, 19))
         if self.innovations not in INNOVATION_MODES:
             raise ValueError(f"innovations must be one of {INNOVATION_MODES}")
         if self.transform not in TRANSFORMS:
@@ -190,8 +193,7 @@ class McConfig:
         if self.statistic not in STATISTICS:
             raise ValueError(f"statistic must be one of {STATISTICS}")
         object.__setattr__(self, "lags", _check_lags(self.lags))
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        object.__setattr__(self, "workers", _check_count("workers", self.workers, 1))
 
 
 @dataclass(frozen=True)
@@ -223,11 +225,7 @@ class TestReport:
     with_intercept: bool
     n_eff: int
     lags: tuple
-    version: str = field(default=None)
-
-    def __post_init__(self):
-        if self.version is None:
-            object.__setattr__(self, "version", __version__)
+    version: str = __version__
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -23,7 +23,7 @@ from .diagnostics import _lag_fits
 from .errors import InvalidModel
 from .estimate import fit_var
 from .montecarlo import (
-    McConfig, _pool_map, derive_key, derive_seed, evaluate_statistics, mc_pvalues)
+    McConfig, _check_count, _pool_map, derive_key, derive_seed, evaluate_statistics, mc_pvalues)
 from .varma import CATALOG_NAMES, catalog, simulate
 
 DEFAULT_TRIALS = 500
@@ -155,12 +155,13 @@ def _power_trial(args) -> dict:
     return rejections
 
 
-def check_study_args(trials: int, replicates: int, workers: int, lags, ns) -> None:
-    """Raise ``ValueError`` for a count, a lag list or a sample size out of range."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if any(n < 1 for n in ns):
-        raise ValueError(f"sample sizes must be at least 1, got {tuple(ns)}")
+def check_study_args(models, trials: int, replicates: int, workers: int, lags, ns) -> None:
+    """Raise ``ValueError`` for a model list, a count, a lag list or a sample size out of range."""
+    if not models or len(set(models)) < len(models):
+        raise ValueError(f"models must be a nonempty list without repeats, got {tuple(models)}")
+    _check_count("trials", trials, 1)
+    if any(n < 1 for n in ns) or len(set(ns)) < len(ns):
+        raise ValueError(f"sample sizes must be at least 1 and distinct, got {tuple(ns)}")
     # the replicate, worker and lag rules of a single test
     McConfig(replicates=replicates, workers=workers, lags=lags)
 
@@ -175,7 +176,7 @@ def _run_study(kind, trial_fn, columns, task_tail, *, models, ns, lags,
     lag runs no trials.  Every model name is resolved before the first trial,
     and all strata's trials run in one pool map.
     """
-    check_study_args(trials, replicates, workers, lags, ns)
+    check_study_args(models, trials, replicates, workers, lags, ns)
     order = task_tail[-1]
     strata = []          # (model, n, trials run)
     tasks = []

@@ -4,6 +4,7 @@ A deletion that breaks one of them fails here rather than in a user's code
 or in a benchmark run that silently reads 0 for a missing layer.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -52,12 +53,59 @@ def test_quick_start_signatures():
     assert vd.diagnostics.RACF_MODES == ("hosking", "li_mcleod", "chitturi")
 
 
-def test_bench_trace_hooks_resolve():
+def _hooked_pairs() -> list:
+    """The ``(module, attribute)`` pairs that ``perfbench/tracer.py`` wraps."""
     spec = importlib.util.spec_from_file_location("_bench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    pairs = [pair for targets in tracer.SPANS.values() for pair in targets]
+    return [pair for targets in tracer.SPANS.values() for pair in targets]
+
+
+def test_bench_trace_hooks_resolve():
+    pairs = _hooked_pairs()
     assert ("vardiag.diagnostics", "_assemble_block_toeplitz") in pairs
     for module, attr in pairs:
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+
+
+def test_no_unused_private_names_or_imports():
+    """Every module-level private name is used somewhere in ``src/``, every import in its module.
+
+    A name the bench hooks counts as used: the tracer reaches it from outside.
+    """
+    hooked = set(_hooked_pairs())
+    trees = {f"vardiag.{path.stem}": ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "vardiag").glob("*.py"))}
+    used_in = {}
+    for module, tree in trees.items():
+        used = used_in[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+    used_anywhere = set().union(*used_in.values())
+    unused = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [(module, name, "import") for name in names
+                           if name not in used_in[module] and (module, name) not in hooked]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [(module, name, "private") for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in used_anywhere and (module, name) not in hooked]
+    assert unused == []

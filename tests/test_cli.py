@@ -271,6 +271,11 @@ class TestStudies:
         ("size-study", ["--n", "0"], "sample sizes"),
         ("size-study", ["--n=-5"], "sample sizes"),
         ("power-study", ["--n", "0"], "sample sizes"),
+        ("power-study", ["--n", "60,60"], "sample sizes"),
+        ("size-study", ["--phi", ""], "models"),
+        ("power-study", ["--model", ","], "models"),
+        ("power-study", ["--model", "model3,model3"], "models"),
+        ("size-study", ["--phi", "phi1, phi1"], "models"),
     ])
     def test_out_of_range_study_flag_is_usage_error(self, command, flags, message, capsys,
                                                     monkeypatch):

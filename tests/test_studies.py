@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vardiag.studies as studies
@@ -103,7 +104,8 @@ class TestStudyArguments:
                                      dict(workers=0), dict(workers=-1),
                                      dict(lags=(10, 5)), dict(lags=(5, 5)),
                                      dict(lags=(0,)), dict(lags=(-3, 5)), dict(lags=()),
-                                     dict(ns=(0,)), dict(ns=(60, -5))])
+                                     dict(ns=(0,)), dict(ns=(60, -5)), dict(ns=(60, 60)),
+                                     dict(models=()), dict(models=("phi1", "phi1"))])
     def test_rejected_before_any_trial_runs(self, monkeypatch, study, bad):
         def no_trials(*args):
             raise AssertionError("trials ran before the arguments were checked")
@@ -112,6 +114,19 @@ class TestStudyArguments:
         kwargs = {**dict(ns=(60,), lags=(3,), trials=4, replicates=19), **bad}
         with pytest.raises(ValueError):
             study(**kwargs)
+
+    @pytest.mark.parametrize("study", [size_study, power_study])
+    @pytest.mark.parametrize("name, value", [("trials", 2.5), ("workers", 2.0),
+                                             ("replicates", 19.5)])
+    def test_non_integer_count_is_refused_by_name(self, study, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            study(**{**dict(models=("phi1",), ns=(60,), lags=(3,), trials=4, replicates=19),
+                     name: value})
+
+    def test_numpy_integer_counts_pass(self):
+        result = power_study(models=("model5",), ns=(60,), lags=(3,), trials=np.int64(2),
+                             replicates=np.int64(19), workers=np.int64(1), master_seed=5)
+        assert [cell.trials for cell in result.cells] == [2, 2]
 
 
     @pytest.mark.parametrize("name, orders", [("model1", "VARMA(2, 0)"),
