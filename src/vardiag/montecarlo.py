@@ -18,10 +18,10 @@ their simulated paths into ``_FACTOR_FLOATS`` floats, and never fewer than
 gathered once, simulated by one doubling scan, then refitted and scored as one
 stack: ``fit_var``, ``sample_acov``, ``racf``, the block-Toeplitz Cholesky and
 the Q terms each run once per chunk.  If a numeric error stops the stacked
-scoring, the chunk is rescored row by row and each failing row is redrawn on
-its own, so the retry and non-PD rules are those of a single replicate.  Chunk
-boundaries depend on the replicate count and the path shape only, never on the
-worker count.
+scoring, a failed stack runs each replicate alone, from attempt 0: that attempt
+draws the same stream as the replicate's row of the stack, so the retry and
+non-PD rules are those of a single replicate.  Chunk boundaries depend on the
+replicate count and the path shape only, never on the worker count.
 
 At ``workers > 1`` the chunks, and the trials of a study, run on one process
 pool that tests and studies share.  It starts at the first call that needs
@@ -163,10 +163,13 @@ def _check_count(name: str, value, least: int) -> int:
 
 def _check_lags(lags) -> tuple:
     """``lags`` as a tuple of ints; ``ValueError`` unless nonempty, positive and strictly ascending."""
-    lags = tuple(int(l) for l in lags)
-    if not lags or any(l < 1 for l in lags) or list(lags) != sorted(set(lags)):
-        raise ValueError("lags must be a nonempty ascending tuple of positive integers")
-    return lags
+    try:
+        checked = tuple(map(operator.index, lags))
+    except TypeError:
+        checked = ()
+    if not checked or any(l < 1 for l in checked) or list(checked) != sorted(set(checked)):
+        raise ValueError(f"lags must be nonempty ascending positive integers, got {lags!r}")
+    return checked
 
 
 @dataclass(frozen=True)
@@ -252,7 +255,7 @@ def _gv_row(rs, lags, n_eff: int) -> np.ndarray:
     """gv at each lag from one factor; lag by lag only if the largest is not PD.
 
     On a stack, a member that is not PD fails the call, and the caller
-    rescores the stack row by row.
+    runs each replicate of the stack alone.
     """
     try:
         log_steps = _gv_log_steps(rs, max(lags))
@@ -336,9 +339,10 @@ _RETRIED = (SingularDesign, TooShort, DegenerateResiduals, NotPositiveDefinite,
             NonFinitePath)
 
 
-def _one_replicate(plan: _ReplicatePlan, index: int, first_attempt: int = 0) -> np.ndarray:
+def _one_replicate(plan: _ReplicatePlan, index: int) -> np.ndarray:
+    # One path, not a stack of one: a matrix that is not PD then scores +inf, not a redraw.
     last_error = None
-    for attempt in range(first_attempt, _MAX_ATTEMPTS):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = derive_seed(plan.master_seed, index, attempt)
         try:
             path = innovation_recursion(plan.phi, (), _draw_innovations(plan, [rng])[0])
@@ -352,8 +356,7 @@ def _one_replicate(plan: _ReplicatePlan, index: int, first_attempt: int = 0) -> 
 def _replicate_chunk(args) -> list:
     """First attempts of replicates start..stop-1, seeded, simulated and scored as one stack.
 
-    If the stack fails, it is rescored row by row, and a row that fails is
-    redrawn on its own from attempt 1.
+    A failed stack runs each replicate alone, from attempt 0.
     """
     plan, start, stop = args
     paths = innovation_recursion(
@@ -361,14 +364,7 @@ def _replicate_chunk(args) -> list:
     try:
         return list(_score_path(plan, paths))
     except _RETRIED:
-        pass
-    rows = []
-    for index, path in zip(range(start, stop), paths):
-        try:
-            rows.append(_score_path(plan, path))
-        except _RETRIED:
-            rows.append(_one_replicate(plan, index, first_attempt=1))
-    return rows
+        return [_one_replicate(plan, index) for index in range(start, stop)]
 
 
 def _forget_pool() -> None:

@@ -1,10 +1,11 @@
 """Size and power experiment harnesses.
 
-Both harnesses draw many independent trial series from built-in models, run
-the diagnostic test on every trial, and tabulate empirical rejection rates at
-a fixed nominal level.  Trials are seeded individually from the master seed,
-so results do not depend on the worker count, and every cell is regenerable
-from the metadata embedded in the result.
+Both harnesses run one trial function on many independent series drawn from
+built-in models.  It returns the trial's rejections at a fixed nominal level,
+a row per column and a column per lag, and a study sums them per (model, n)
+stratum into empirical rejection rates.  Trials are seeded individually from
+the master seed, so results do not depend on the worker count, and every cell
+is regenerable from the metadata embedded in the result.
 
 Default scale (trials=500, replicates=199) finishes in minutes on a
 multi-core desktop; the full reference scale (trials=10^4, replicates=10^3)
@@ -16,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from itertools import islice
+
+import numpy as np
 
 from ._version import __version__
 from .asymptotics import ab_params, approx_pvalue
@@ -32,6 +35,8 @@ NOMINAL_LEVEL = 0.05
 
 _SIZE_COLUMNS = ("chi2", "mc")
 _POWER_COLUMNS = ("gv", "q_modified")
+# The statistic each Monte-Carlo column scores; ``chi2`` is gv by the approximation.
+_MC_STATISTIC = {"mc": "gv", "gv": "gv", "q_modified": "q_modified"}
 
 
 @dataclass(frozen=True)
@@ -106,104 +111,79 @@ class StudyResult:
         return "\n".join(lines)
 
 
-def _model_code(name: str) -> int:
-    return CATALOG_NAMES.index(name)
+def _trial(args) -> np.ndarray:
+    """One trial's rejections at the nominal level: a row per column, a column per lag.
 
-
-def _trial_inputs(name: str, n: int, trial: int, master_seed: int):
-    """One trial's model, simulated series and Monte-Carlo master key."""
+    The Monte-Carlo columns are scored against one replicate set; ``chi2``
+    refers the observed gv to its scaled chi-square approximation.
+    """
+    name, n, trial, master_seed, lags, replicates, columns, order = args
     model = catalog(name)
-    code = _model_code(name)
-    series = simulate(model, n, derive_seed(derive_key(master_seed, code, n, trial), 0))
-    return model, series, derive_key(master_seed, code, n, trial, 1)
-
-
-def _size_trial(args) -> dict:
-    (name, n, trial, master_seed, lags, replicates, method, order) = args
-    model, series, mc_master = _trial_inputs(name, n, trial, master_seed)
-    rejections = {}
-    config = McConfig(replicates=replicates, master_seed=mc_master,
-                      statistic="gv", lags=lags)
-    if method in ("mc", "both"):
-        _, observed, pvals, _, _ = mc_pvalues(series, order, config)
+    words = (master_seed, CATALOG_NAMES.index(name), n, trial)
+    series = simulate(model, n, derive_seed(derive_key(*words), 0))
+    statistics = tuple(_MC_STATISTIC[column] for column in columns if column != "chi2")
+    if statistics:
+        config = McConfig(replicates=replicates, master_seed=derive_key(*words, 1), lags=lags)
+        _, observed, pvals, _, _ = mc_pvalues(series, order, config, statistics=statistics)
     else:
-        fitted = fit_var(series, order)
-        observed = evaluate_statistics(fitted.residuals, ("gv",), lags)
-        pvals = None
-    for col, lag in enumerate(lags):
-        if pvals is not None:
-            rejections[(lag, "mc")] = bool(pvals[0, col] <= NOMINAL_LEVEL)
-        if method in ("chi2", "both") and lag > order:
-            # the scaled chi-square approximation needs m > p
-            pv = approx_pvalue(float(observed[0, col]),
-                               ab_params(model.k, lag, order, 0))
-            rejections[(lag, "chi2")] = bool(pv <= NOMINAL_LEVEL)
-    return rejections
+        statistics = ("gv",)
+        observed = evaluate_statistics(fit_var(series, order).residuals, statistics, lags)
+    reject = np.empty((len(columns), len(lags)), dtype=bool)
+    for row, column in enumerate(columns):
+        if column == "chi2":
+            # the approximation needs m > p; other lags have no chi2 cell
+            gv = observed[statistics.index("gv")]
+            reject[row] = [lag > order and approx_pvalue(
+                               float(stat), ab_params(model.k, lag, order, 0)) <= NOMINAL_LEVEL
+                           for stat, lag in zip(gv, lags)]
+        else:
+            reject[row] = pvals[statistics.index(_MC_STATISTIC[column])] <= NOMINAL_LEVEL
+    return reject
 
 
-def _power_trial(args) -> dict:
-    (name, n, trial, master_seed, lags, replicates, fit_order) = args
-    _, series, mc_master = _trial_inputs(name, n, trial, master_seed)
-    config = McConfig(replicates=replicates, master_seed=mc_master,
-                      statistic="gv", lags=lags)
-    _, _, pvals, _, _ = mc_pvalues(series, fit_order, config,
-                                   statistics=_POWER_COLUMNS)
-    rejections = {}
-    for row, stat in enumerate(_POWER_COLUMNS):
-        for col, lag in enumerate(lags):
-            rejections[(lag, stat)] = bool(pvals[row, col] <= NOMINAL_LEVEL)
-    return rejections
+def check_study_args(models, trials, replicates, workers, lags, ns) -> tuple:
+    """``(trials, ns, config)``, with ints for counts; ``ValueError`` for any argument out of range.
 
-
-def check_study_args(models, trials: int, replicates: int, workers: int, lags, ns) -> None:
-    """Raise ``ValueError`` for a model list, a count, a lag list or a sample size out of range."""
+    ``config`` is the :class:`McConfig` that checks replicates, workers and lags.
+    """
     if not models or len(set(models)) < len(models):
         raise ValueError(f"models must be a nonempty list without repeats, got {tuple(models)}")
-    _check_count("trials", trials, 1)
-    if any(n < 1 for n in ns) or len(set(ns)) < len(ns):
-        raise ValueError(f"sample sizes must be at least 1 and distinct, got {tuple(ns)}")
-    # the replicate, worker and lag rules of a single test
-    McConfig(replicates=replicates, workers=workers, lags=lags)
+    trials = _check_count("trials", trials, 1)
+    checked = tuple(_check_count("sample sizes", n, 1) for n in ns)
+    if len(set(checked)) < len(checked):
+        raise ValueError(f"sample sizes must be distinct, got {tuple(ns)}")
+    return trials, checked, McConfig(replicates=replicates, workers=workers, lags=lags)
 
 
-def _run_study(kind, trial_fn, columns, task_tail, *, models, ns, lags,
-               trials, replicates, master_seed, workers) -> StudyResult:
-    """Run ``trial_fn`` on every trial of every (model, n) stratum and tabulate.
+def _run_study(kind, columns, order, *, models, ns, lags, trials, replicates,
+               master_seed, workers) -> StudyResult:
+    """Run every trial of every (model, n) stratum in one pool map, and sum the rejections.
 
-    Each task is ``(name, n, trial, master_seed, lags, replicates, *task_tail)``,
-    where ``lags`` are the stratum's lags that pass the lag guard and the last
-    element of ``task_tail`` is the fitted VAR order.  A stratum with no such
-    lag runs no trials.  Every model name is resolved before the first trial,
-    and all strata's trials run in one pool map.
+    A trial sees its stratum's lags that pass the lag guard; a stratum with no
+    such lag runs none.  Every model name is resolved before the first trial.
     """
-    check_study_args(models, trials, replicates, workers, lags, ns)
-    order = task_tail[-1]
-    strata = []          # (model, n, trials run)
-    tasks = []
-    skipped = []
+    trials, ns, config = check_study_args(models, trials, replicates, workers, lags, ns)
+    strata = []          # (model, n, usable lags) of the strata that run trials
+    tasks, skipped = [], []
     for name in models:
         k = catalog(name).k
         for n in ns:
-            usable = tuple(lag for lag in lags if _lag_fits(n - order, lag, k))
-            skipped.extend((name, n, lag) for lag in lags if lag not in usable)
-            runs = trials if usable else 0
-            strata.append((name, n, runs))
-            tasks.extend((name, n, trial, master_seed, usable, replicates, *task_tail)
-                         for trial in range(runs))
-    results = iter(_pool_map(trial_fn, tasks, workers, max(1, len(tasks) // (8 * workers))))
+            usable = tuple(lag for lag in config.lags if _lag_fits(n - order, lag, k))
+            skipped.extend((name, n, lag) for lag in config.lags if lag not in usable)
+            if usable:
+                strata.append((name, n, usable))
+                tasks.extend((name, n, trial, master_seed, usable, config.replicates, columns,
+                              order) for trial in range(trials))
+    results = iter(_pool_map(_trial, tasks, config.workers,
+                             max(1, len(tasks) // (8 * config.workers))))
     cells = []
-    for model, n, runs in strata:
-        flag_dicts = list(islice(results, runs))
-        for lag in lags:
-            for column in columns:
-                key = (lag, column)
-                if not any(key in flags for flags in flag_dicts):
-                    continue
-                count = sum(1 for flags in flag_dicts if flags.get(key, False))
-                cells.append(StudyCell(model, n, lag, column, count, trials))
-    return StudyResult(kind, tuple(models), tuple(ns), tuple(lags), trials,
-                       replicates, master_seed, NOMINAL_LEVEL, tuple(columns),
-                       tuple(cells), tuple(skipped))
+    for model, n, usable in strata:
+        counts = sum(islice(results, trials))
+        cells.extend(StudyCell(model, n, lag, column, int(counts[row, col]), trials)
+                     for col, lag in enumerate(usable) for row, column in enumerate(columns)
+                     if column != "chi2" or lag > order)
+    return StudyResult(kind, tuple(models), ns, config.lags, trials, config.replicates, master_seed,
+                       NOMINAL_LEVEL, tuple(columns), tuple(cells), tuple(skipped))
 
 
 def size_study(models=("phi1", "phi2", "phi3", "phi4"), ns=(100, 200, 500),
@@ -227,9 +207,9 @@ def size_study(models=("phi1", "phi2", "phi3", "phi4"), ns=(100, 200, 500),
             raise InvalidModel(f"size-study needs a VAR(1) model; {name} is a "
                                f"VARMA({model.p}, {model.q})")
     columns = {"mc": ("mc",), "chi2": ("chi2",), "both": _SIZE_COLUMNS}[method]
-    return _run_study("size-study", _size_trial, columns, (method, 1), models=models,
-                      ns=ns, lags=lags, trials=trials, replicates=replicates,
-                      master_seed=master_seed, workers=workers)
+    return _run_study("size-study", columns, 1, models=models, ns=ns, lags=lags,
+                      trials=trials, replicates=replicates, master_seed=master_seed,
+                      workers=workers)
 
 
 def power_study(models=tuple(f"model{i}" for i in range(1, 9)), ns=(50, 100, 200),
@@ -243,6 +223,6 @@ def power_study(models=tuple(f"model{i}" for i in range(1, 9)), ns=(50, 100, 200
     generalized-variance statistic and the modified classical statistic
     against the same replicate set.
     """
-    return _run_study("power-study", _power_trial, _POWER_COLUMNS, (fit_order,),
+    return _run_study("power-study", _POWER_COLUMNS, fit_order,
                       models=models, ns=ns, lags=lags, trials=trials,
                       replicates=replicates, master_seed=master_seed, workers=workers)

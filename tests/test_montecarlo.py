@@ -261,6 +261,15 @@ class TestMcConfig:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             McConfig(**{name: value})
 
+    @pytest.mark.parametrize("lags", [(2.5,), ("3",), (2, 3.0), 5])
+    def test_non_integer_lags_are_refused_by_name(self, lags):
+        with pytest.raises(ValueError, match="lags must be"):
+            McConfig(lags=lags)
+
+    def test_numpy_integer_lags_pass_as_ints(self):
+        lags = McConfig(lags=(np.int64(2), np.int32(5))).lags
+        assert lags == (2, 5) and all(type(lag) is int for lag in lags)
+
     def test_numpy_integer_counts_pass_as_ints(self):
         series = simulate(catalog("phi1"), 80, derive_seed(8, 0))
         config = McConfig(replicates=np.int64(19), workers=np.int64(1), lags=(2,))
@@ -445,12 +454,15 @@ class TestStackedReplicates:
                 raise SingularDesign("forced failure")
             return original(series, order, with_intercept)
 
+        # replicate 3's second attempt, simulated and scored by hand
+        noise = mc._draw_innovations(plan, [derive_seed(plan.master_seed, 3, 1)])[0]
+        redrawn = mc._score_path(plan, mc.innovation_recursion(plan.phi, (), noise))
         monkeypatch.setattr(mc, "fit_var", failing)
         expect = [mc._one_replicate(plan, i) for i in range(1, 40)]
         got = mc._run_replicates(plan, 39, 1)
         assert _close_rows(got, expect)
         assert _close_rows(got[3:], clean[3:]) and _close_rows(got[:2], clean[:2])
-        assert _close_rows(got[2:3], [mc._one_replicate(plan, 3, first_attempt=1)])
+        assert _close_rows(got[2:3], [redrawn])
         assert not np.allclose(got[2], clean[2])
 
     def test_value_error_in_scoring_is_not_retried(self, monkeypatch):
@@ -474,20 +486,26 @@ class TestStackedReplicates:
         plan = _phi1_plan()
         clean = [mc._one_replicate(plan, i) for i in range(1, 101)]
         original = mc.innovation_recursion
+        first, second = (mc._draw_innovations(plan, [derive_seed(plan.master_seed, 5, a)])[0]
+                         for a in (0, 1))
+        redrawn = mc._score_path(plan, original(plan.phi, (), second))
         stacks = []
 
         def overflowing(phi, theta, innovations):
             out = original(phi, theta, innovations)
             if out.ndim == 3:
                 stacks.append(out.shape[0])
-                if len(stacks) == 1:
-                    out[4, -1, 0] = np.inf  # replicate 5, in the first chunk
+            # replicate 5's first attempt overflows, in a stack or alone
+            rows = np.reshape(innovations, (-1,) + first.shape)
+            for row, path in zip(rows, np.reshape(out, rows.shape)):
+                if np.allclose(row, first, rtol=1e-12, atol=0):
+                    path[-1, 0] = np.inf
             return out
 
         monkeypatch.setattr(mc, "innovation_recursion", overflowing)
         got = mc._run_replicates(plan, 100, 1)
         assert _close_rows(got[:4] + got[5:], clean[:4] + clean[5:])
-        assert _close_rows(got[4:5], [mc._one_replicate(plan, 5, first_attempt=1)])
+        assert _close_rows(got[4:5], [redrawn])
         assert not np.allclose(got[4], clean[4])
         # n = 120: (110 burn-in + 120) steps x 2 series per path, 2**15 // 460 = 71 rows
         assert stacks == [71, 29]
@@ -510,8 +528,13 @@ class TestStackedReplicates:
             seeded.extend(range(start, stop))
             return original_seeded(master, start, stop)
 
+        original_derive_seed = mc.derive_seed
+
         def no_redraw(master, index, attempt=0):
-            raise AssertionError(f"replicate {index} was redrawn (attempt {attempt})")
+            # each replicate runs alone from its first attempt; a stack of one would redraw
+            if attempt:
+                raise AssertionError(f"replicate {index} was redrawn (attempt {attempt})")
+            return original_derive_seed(master, index, attempt)
 
         monkeypatch.setattr(mc, "_gv_log_steps", stack_fails)
         monkeypatch.setattr(mc, "_seeded", recording)

@@ -16,8 +16,9 @@ refuses the same stacks.
 
 A chunk's first attempts are seeded in one pass; their generators hold
 exactly the states ``derive_seed`` gives, for any master seed and index.  A
-study's report does not depend on its worker count, and a CSV table
-restores its float64 values exactly.
+study's report does not depend on its worker count, each of its cells counts
+the rejections of its trials one by one, and a CSV table restores its float64
+values exactly.
 
 Every test draws its cases with ``derandomize=True``, so each run of the
 suite checks the same inputs.
@@ -31,8 +32,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vardiag import (NotPositiveDefinite, cholesky_lower, derive_seed, evaluate_statistics,
-                     fit_var, power_study, racf, sample_acov, size_study)
+from vardiag import (CATALOG_NAMES, McConfig, NotPositiveDefinite, ab_params, approx_pvalue,
+                     catalog, cholesky_lower, derive_key, derive_seed, evaluate_statistics,
+                     fit_var, mc_pvalues, power_study, racf, sample_acov, simulate, size_study)
 from vardiag.csvio import CsvTable, read_csv, write_csv
 from vardiag.diagnostics import _assemble_block_toeplitz, _unit_diagonal_cholesky
 from vardiag.montecarlo import _seeded
@@ -193,6 +195,68 @@ def study_configs(draw):
 def test_study_report_does_not_depend_on_workers(config):
     study, kwargs = config
     assert study(workers=1, **kwargs).to_json() == study(workers=2, **kwargs).to_json()
+
+
+@st.composite
+def tabulated_studies(draw):
+    if draw(st.booleans()):
+        names = ("phi1", "phi2", "phi3", "phi4")
+        study, extra = size_study, dict(method=draw(st.sampled_from(("mc", "chi2", "both"))))
+    else:
+        names = tuple(f"model{i}" for i in range(1, 9))
+        study, extra = power_study, dict(fit_order=draw(st.integers(0, 2)))
+    models = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    ns = draw(st.lists(st.integers(16, 60), min_size=1, max_size=2, unique=True))
+    lags = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+    kwargs = dict(models=tuple(models), ns=tuple(ns), lags=tuple(sorted(lags)),
+                  trials=draw(st.integers(1, 4)), replicates=19,
+                  master_seed=draw(st.integers(0, 2 ** 32 - 1)), **extra)
+    return study, kwargs
+
+
+def _count_trial_by_trial(result, order):
+    """Every cell's rejection count, rebuilt from the engine one trial at a time."""
+    counts = {}
+    for name in result.models:
+        model, code = catalog(name), CATALOG_NAMES.index(name)
+        for n in result.ns:
+            lags = tuple(m for m in result.lags if n - order > (m + 1) * model.k)
+            for trial in range(result.trials * bool(lags)):
+                words = (result.master_seed, code, n, trial)
+                series = simulate(model, n, derive_seed(derive_key(*words), 0))
+                config = McConfig(replicates=result.replicates,
+                                  master_seed=derive_key(*words, 1), lags=lags)
+                pvalues = {}
+                if result.kind == "power-study":
+                    _, _, pvals, _, _ = mc_pvalues(series, order, config,
+                                                   statistics=("gv", "q_modified"))
+                    pvalues.update(gv=pvals[0], q_modified=pvals[1])
+                elif "mc" in result.columns:
+                    pvalues["mc"] = mc_pvalues(series, order, config)[2][0]
+                if "chi2" in result.columns:
+                    gv = evaluate_statistics(fit_var(series, order).residuals, ("gv",), lags)[0]
+                    pvalues["chi2"] = [approx_pvalue(float(stat), ab_params(model.k, m, order, 0))
+                                       if m > order else None for stat, m in zip(gv, lags)]
+                for column, row in pvalues.items():
+                    for lag, p in zip(lags, row):
+                        if p is not None:
+                            key = (name, n, lag, column)
+                            counts[key] = counts.get(key, 0) + int(p <= 0.05)
+    return counts
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(tabulated_studies())
+# a refused lag, and lag 1 = order with no chi2 cell
+@example((size_study, dict(models=("phi3", "phi4"), ns=(16, 40), lags=(1, 3, 8), trials=4,
+                           replicates=19, master_seed=3, method="both")))
+@example((power_study, dict(models=("model3", "model8"), ns=(24, 60), lags=(2, 8), trials=3,
+                            replicates=19, master_seed=8, fit_order=2)))
+def test_each_cell_counts_its_trials_one_by_one(case):
+    study, kwargs = case
+    result = study(**kwargs)
+    cells = {(c.model, c.n, c.lag, c.column): c.rejections for c in result.cells}
+    assert cells == _count_trial_by_trial(result, kwargs.get("fit_order", 1))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -53,7 +53,7 @@ class TestSizeStudy:
 
     def test_unusable_stratum_runs_no_trials(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(studies, "_trial_inputs", lambda *args: calls.append(args))
+        monkeypatch.setattr(studies, "_trial", calls.append)
         result = size_study(models=("phi1",), ns=(13,), lags=(5,), trials=4,
                             replicates=19, master_seed=5, method="chi2")
         assert calls == [] and result.skipped == (("phi1", 13, 5),)
@@ -105,7 +105,8 @@ class TestStudyArguments:
                                      dict(lags=(10, 5)), dict(lags=(5, 5)),
                                      dict(lags=(0,)), dict(lags=(-3, 5)), dict(lags=()),
                                      dict(ns=(0,)), dict(ns=(60, -5)), dict(ns=(60, 60)),
-                                     dict(models=()), dict(models=("phi1", "phi1"))])
+                                     dict(models=()), dict(models=("phi1", "phi1")),
+                                     dict(ns=(60.5,))])
     def test_rejected_before_any_trial_runs(self, monkeypatch, study, bad):
         def no_trials(*args):
             raise AssertionError("trials ran before the arguments were checked")
@@ -124,9 +125,13 @@ class TestStudyArguments:
                      name: value})
 
     def test_numpy_integer_counts_pass(self):
-        result = power_study(models=("model5",), ns=(60,), lags=(3,), trials=np.int64(2),
-                             replicates=np.int64(19), workers=np.int64(1), master_seed=5)
+        result = power_study(models=("model5",), ns=(np.int64(60),), lags=(np.int64(3),),
+                             trials=np.int64(2), replicates=np.int64(19), workers=np.int64(1),
+                             master_seed=5)
         assert [cell.trials for cell in result.cells] == [2, 2]
+        plain = power_study(models=("model5",), ns=(60,), lags=(3,), trials=2, replicates=19,
+                            master_seed=5)
+        assert result.to_json() == plain.to_json()
 
 
     @pytest.mark.parametrize("name, orders", [("model1", "VARMA(2, 0)"),
@@ -145,4 +150,11 @@ class TestStudyJson:
         result = power_study(models=("model5",), ns=(60,), lags=(3, 30), trials=4,
                              replicates=19, master_seed=5)
         pinned = Path(__file__).parent / "data" / "power_study.json"
+        assert result.to_json() + "\n" == pinned.read_text()
+
+    def test_size_study_json_bytes_are_pinned(self):
+        # n = 14 refuses lag 8, and lag 1 = order has no chi2 cell
+        result = size_study(models=("phi1", "phi2"), ns=(14, 60), lags=(1, 3, 8), trials=8,
+                            replicates=19, master_seed=9, method="both")
+        pinned = Path(__file__).parent / "data" / "size_study.json"
         assert result.to_json() + "\n" == pinned.read_text()
