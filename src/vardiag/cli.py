@@ -41,12 +41,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text: str, flag: str) -> tuple:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise _UsageError(f"{flag}: expected a comma-separated integer list, got {text!r}")
-    if not values:
-        raise _UsageError(f"{flag}: empty list")
-    return values
 
 
 def _check_flag(args, flag: str, value: int, least: int) -> None:
@@ -188,7 +185,7 @@ def _study_args(args, names: str) -> dict:
     models = tuple(part.strip() for part in names.split(",") if part.strip())
     ns, lags = _int_list(args.n, "--n"), _int_list(args.lags, "--lags")
     try:
-        check_study_args(models, args.trials, args.reps, args.workers, lags, ns)
+        check_study_args(models, args.trials, args.reps, args.workers, lags, ns, args.seed)
     except ValueError as err:
         # errors raised by the trials themselves keep their own exit code
         raise _UsageError(f"vardiag {args.command}: {err}") from None

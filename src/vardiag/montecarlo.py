@@ -90,7 +90,7 @@ def _splitmix64(state: int) -> int:
 
 def derive_key(master: int, *words: int) -> int:
     """Fixed 64-bit mixing of a master seed with integer context words."""
-    key = _splitmix64(master & _MASK64)
+    key = _splitmix64(operator.index(master) & _MASK64)
     for word in words:
         key = _splitmix64(key ^ _splitmix64(word & _MASK64))
     return key
@@ -189,6 +189,9 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "replicates", _check_count("replicates", self.replicates, 19))
+        # any integer seeds a test, a negative one too
+        object.__setattr__(self, "master_seed",
+                           _check_count("master_seed", self.master_seed, -math.inf))
         if self.innovations not in INNOVATION_MODES:
             raise ValueError(f"innovations must be one of {INNOVATION_MODES}")
         if self.transform not in TRANSFORMS:
@@ -294,24 +297,24 @@ def evaluate_statistics(residuals, statistics, lags, transform: str = "identity"
 
 @dataclass(frozen=True)
 class _ReplicatePlan:
-    """Everything a worker needs to generate and score one replicate."""
+    """Everything a worker needs to generate and score one replicate.
 
-    phi: tuple
+    The null is ``fitted``'s VAR; besides it and ``config``, the plan holds
+    only what a test computes once.
+    """
+
+    fitted: FittedVar
+    config: McConfig
+    statistics: tuple
+    n: int
     mean: np.ndarray
     innov_chol: np.ndarray
     pool: np.ndarray
-    n: int
-    order: int
-    with_intercept: bool
-    transform: str
-    statistics: tuple
-    lags: tuple
-    master_seed: int
 
 
 def _draw_innovations(plan: _ReplicatePlan, rngs) -> np.ndarray:
     """One replicate's innovations per generator, in one buffer coloured or gathered once."""
-    steps = burn_in_length(plan.order, 0) + plan.n
+    steps = burn_in_length(plan.fitted.order, 0) + plan.n
     if plan.pool is not None:
         idx = np.empty((len(rngs), steps), dtype=np.int64)
         for row, rng in zip(idx, rngs):
@@ -329,9 +332,10 @@ def _score_path(plan: _ReplicatePlan, path: np.ndarray) -> np.ndarray:
     if not np.isfinite(path).all():
         raise NonFinitePath(
             "simulated path is not finite (numerically explosive fitted model)")
-    refit = fit_var(plan.mean + path[..., burn_in_length(plan.order, 0):, :],
-                    plan.order, plan.with_intercept)
-    return evaluate_statistics(refit.residuals, plan.statistics, plan.lags, plan.transform)
+    fitted, config = plan.fitted, plan.config
+    refit = fit_var(plan.mean + path[..., burn_in_length(fitted.order, 0):, :],
+                    fitted.order, fitted.with_intercept)
+    return evaluate_statistics(refit.residuals, plan.statistics, config.lags, config.transform)
 
 
 # Numeric failures after which a replicate is redrawn with the next attempt.
@@ -343,9 +347,9 @@ def _one_replicate(plan: _ReplicatePlan, index: int) -> np.ndarray:
     # One path, not a stack of one: a matrix that is not PD then scores +inf, not a redraw.
     last_error = None
     for attempt in range(_MAX_ATTEMPTS):
-        rng = derive_seed(plan.master_seed, index, attempt)
+        rng = derive_seed(plan.config.master_seed, index, attempt)
         try:
-            path = innovation_recursion(plan.phi, (), _draw_innovations(plan, [rng])[0])
+            path = innovation_recursion(plan.fitted.phi_hat, (), _draw_innovations(plan, [rng])[0])
             return _score_path(plan, path)
         except _RETRIED as err:
             last_error = err
@@ -359,8 +363,8 @@ def _replicate_chunk(args) -> list:
     A failed stack runs each replicate alone, from attempt 0.
     """
     plan, start, stop = args
-    paths = innovation_recursion(
-        plan.phi, (), _draw_innovations(plan, _seeded(plan.master_seed, start, stop)))
+    rngs = _seeded(plan.config.master_seed, start, stop)
+    paths = innovation_recursion(plan.fitted.phi_hat, (), _draw_innovations(plan, rngs))
     try:
         return list(_score_path(plan, paths))
     except _RETRIED:
@@ -374,7 +378,7 @@ def _forget_pool() -> None:
     at the fork would never be released there.
     """
     global _POOL, _POOL_LOCK
-    # ``(process count, executor)`` or None; one pooled call at a time holds the lock.
+    # ``(process count, executor, exit hook)`` or None; one pooled call at a time holds the lock.
     _POOL, _POOL_LOCK = None, threading.Lock()
 
 
@@ -383,22 +387,24 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _drop_pool() -> None:
-    """Shut the pool down, if there is one, and forget it."""
+    """Shut the pool down, if there is one, and forget it and its exit hook."""
     global _POOL
     if _POOL is not None:
+        _POOL[2].cancel()
         _POOL[1].shutdown(wait=True)
     _POOL = None
 
 
-def _pool_map(fn, tasks, workers: int, chunksize: int = 1) -> list:
+def _pool_map(fn, tasks, workers: int) -> list:
     """``[fn(t) for t in tasks]``, across at most one process per task when ``workers > 1``.
 
-    The pool outlives the call and serves the next one of the same process
-    count.  Another count shuts it down before a new one forks, so the process
-    never forks while a second pool's manager thread runs.  Pooled calls from
-    several threads take turns.  A broken pool is dropped and its error
-    raised.  ``concurrent.futures`` joins the workers when the interpreter
-    exits.
+    Tasks go out one at a time until there are 16 per process, then in about
+    eight batches per process.  The pool outlives the call and serves the next
+    one of the same process count.  Another count shuts it down before a new
+    one forks, so the process never forks while a second pool's manager thread
+    runs.  Pooled calls from several threads take turns.  A broken pool is
+    dropped and its error raised.  ``concurrent.futures`` joins the workers
+    when the interpreter exits.
     """
     global _POOL
     workers = min(workers, len(tasks))
@@ -407,13 +413,13 @@ def _pool_map(fn, tasks, workers: int, chunksize: int = 1) -> list:
     with _POOL_LOCK:
         if _POOL is None or _POOL[0] != workers:
             _drop_pool()
-            _POOL = (workers, ProcessPoolExecutor(max_workers=workers))
             # A multiprocessing child joins its children before that exit hook
             # runs, so shut the pool down first, ahead of the call queue's own
             # finalizer (priority 10) that must still carry the workers' sentinels.
-            Finalize(None, _drop_pool, exitpriority=20)
+            _POOL = (workers, ProcessPoolExecutor(max_workers=workers),
+                     Finalize(None, _drop_pool, exitpriority=20))
         try:
-            return list(_POOL[1].map(fn, tasks, chunksize=chunksize))
+            return list(_POOL[1].map(fn, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
         except BrokenProcessPool:
             _drop_pool()
             raise
@@ -421,7 +427,7 @@ def _pool_map(fn, tasks, workers: int, chunksize: int = 1) -> list:
 
 def _chunk_rows(plan: _ReplicatePlan) -> int:
     """Replicates per chunk: paths of ``_FACTOR_FLOATS`` floats, at least ``_CHUNK``."""
-    path_floats = (burn_in_length(plan.order, 0) + plan.n) * plan.mean.shape[-1]
+    path_floats = (burn_in_length(plan.fitted.order, 0) + plan.n) * plan.mean.shape[-1]
     return max(_CHUNK, _FACTOR_FLOATS // path_floats)
 
 
@@ -446,19 +452,8 @@ def _build_plan(fitted: FittedVar, n: int, config: McConfig, statistics) -> _Rep
     else:
         pool = None
         innov_chol = cholesky_lower(fitted.gamma0_hat)
-    return _ReplicatePlan(
-        phi=fitted.phi_hat,
-        mean=implied_mean(fitted),
-        innov_chol=innov_chol,
-        pool=pool,
-        n=n,
-        order=fitted.order,
-        with_intercept=fitted.with_intercept,
-        transform=config.transform,
-        statistics=tuple(statistics),
-        lags=config.lags,
-        master_seed=config.master_seed,
-    )
+    return _ReplicatePlan(fitted, config, tuple(statistics), n, implied_mean(fitted),
+                          innov_chol, pool)
 
 
 def mc_pvalues(series, order: int, config: McConfig, statistics=None,

@@ -141,10 +141,10 @@ def _trial(args) -> np.ndarray:
     return reject
 
 
-def check_study_args(models, trials, replicates, workers, lags, ns) -> tuple:
+def check_study_args(models, trials, replicates, workers, lags, ns, master_seed) -> tuple:
     """``(trials, ns, config)``, with ints for counts; ``ValueError`` for any argument out of range.
 
-    ``config`` is the :class:`McConfig` that checks replicates, workers and lags.
+    ``config`` is the :class:`McConfig` that checks replicates, workers, lags and the seed.
     """
     if not models or len(set(models)) < len(models):
         raise ValueError(f"models must be a nonempty list without repeats, got {tuple(models)}")
@@ -152,7 +152,8 @@ def check_study_args(models, trials, replicates, workers, lags, ns) -> tuple:
     checked = tuple(_check_count("sample sizes", n, 1) for n in ns)
     if len(set(checked)) < len(checked):
         raise ValueError(f"sample sizes must be distinct, got {tuple(ns)}")
-    return trials, checked, McConfig(replicates=replicates, workers=workers, lags=lags)
+    return trials, checked, McConfig(replicates=replicates, master_seed=master_seed,
+                                     workers=workers, lags=lags)
 
 
 def _run_study(kind, columns, order, *, models, ns, lags, trials, replicates,
@@ -162,7 +163,8 @@ def _run_study(kind, columns, order, *, models, ns, lags, trials, replicates,
     A trial sees its stratum's lags that pass the lag guard; a stratum with no
     such lag runs none.  Every model name is resolved before the first trial.
     """
-    trials, ns, config = check_study_args(models, trials, replicates, workers, lags, ns)
+    trials, ns, config = check_study_args(models, trials, replicates, workers, lags, ns,
+                                          master_seed)
     strata = []          # (model, n, usable lags) of the strata that run trials
     tasks, skipped = [], []
     for name in models:
@@ -172,18 +174,18 @@ def _run_study(kind, columns, order, *, models, ns, lags, trials, replicates,
             skipped.extend((name, n, lag) for lag in config.lags if lag not in usable)
             if usable:
                 strata.append((name, n, usable))
-                tasks.extend((name, n, trial, master_seed, usable, config.replicates, columns,
-                              order) for trial in range(trials))
-    results = iter(_pool_map(_trial, tasks, config.workers,
-                             max(1, len(tasks) // (8 * config.workers))))
+                tasks.extend((name, n, trial, config.master_seed, usable, config.replicates,
+                              columns, order) for trial in range(trials))
+    results = iter(_pool_map(_trial, tasks, config.workers))
     cells = []
     for model, n, usable in strata:
         counts = sum(islice(results, trials))
         cells.extend(StudyCell(model, n, lag, column, int(counts[row, col]), trials)
                      for col, lag in enumerate(usable) for row, column in enumerate(columns)
                      if column != "chi2" or lag > order)
-    return StudyResult(kind, tuple(models), ns, config.lags, trials, config.replicates, master_seed,
-                       NOMINAL_LEVEL, tuple(columns), tuple(cells), tuple(skipped))
+    return StudyResult(kind, tuple(models), ns, config.lags, trials, config.replicates,
+                       config.master_seed, NOMINAL_LEVEL, tuple(columns), tuple(cells),
+                       tuple(skipped))
 
 
 def size_study(models=("phi1", "phi2", "phi3", "phi4"), ns=(100, 200, 500),

@@ -23,9 +23,12 @@ from .linalg import cholesky_lower
 STATIONARITY_MARGIN = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class VarmaModel:
     """Full VARMA(p, q) parameterization.
+
+    Models are immutable: derive a variant with ``dataclasses.replace``, which
+    checks the new fields as the constructor does.
 
     Parameters
     ----------
@@ -43,35 +46,34 @@ class VarmaModel:
     theta: tuple = ()
     innov_cov: np.ndarray = None
     mean: np.ndarray = None
-    _innov_chol: np.ndarray = field(default=None, repr=False, compare=False)
-    _check: "ModelCheck" = field(default=None, repr=False, compare=False)
+    _innov_chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.innov_cov is None:
             raise DimensionMismatch("innov_cov is required")
-        self.innov_cov = np.asarray(self.innov_cov, dtype=float)
-        if self.innov_cov.ndim != 2 or self.innov_cov.shape[0] != self.innov_cov.shape[1]:
+        innov_cov = np.asarray(self.innov_cov, dtype=float)
+        if innov_cov.ndim != 2 or innov_cov.shape[0] != innov_cov.shape[1]:
             raise DimensionMismatch("innov_cov must be square")
-        k = self.innov_cov.shape[0]
-        self.phi = tuple(np.asarray(m, dtype=float) for m in self.phi)
-        self.theta = tuple(np.asarray(m, dtype=float) for m in self.theta)
-        for name, mats in (("phi", self.phi), ("theta", self.theta)):
+        k = innov_cov.shape[0]
+        phi = tuple(np.asarray(m, dtype=float) for m in self.phi)
+        theta = tuple(np.asarray(m, dtype=float) for m in self.theta)
+        for name, mats in (("phi", phi), ("theta", theta)):
             for i, m in enumerate(mats, start=1):
                 if m.shape != (k, k):
                     raise DimensionMismatch(
                         f"{name}[{i}] has shape {m.shape}, expected ({k}, {k})")
                 if not np.isfinite(m).all():
                     raise DimensionMismatch(f"{name}[{i}] has non-finite entries")
-        if self.mean is None:
-            self.mean = np.zeros(k)
-        else:
-            self.mean = np.asarray(self.mean, dtype=float)
-            if self.mean.shape != (k,):
-                raise DimensionMismatch(f"mean must have length {k}")
-        if not np.isfinite(self.innov_cov).all():
+        mean = np.zeros(k) if self.mean is None else np.asarray(self.mean, dtype=float)
+        if mean.shape != (k,):
+            raise DimensionMismatch(f"mean must have length {k}")
+        if not np.isfinite(innov_cov).all():
             raise DimensionMismatch("innov_cov has non-finite entries")
         # Also establishes positive definiteness.
-        self._innov_chol = cholesky_lower(self.innov_cov)
+        chol = cholesky_lower(innov_cov)
+        for name, value in (("phi", phi), ("theta", theta), ("innov_cov", innov_cov),
+                            ("mean", mean), ("_innov_chol", chol)):
+            object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int:
@@ -125,16 +127,9 @@ def polynomial_radius(mats: Sequence[np.ndarray]) -> tuple:
 
 def validate_model(model: VarmaModel) -> ModelCheck:
     """Check stationarity (AR side) and invertibility (MA side) of a model."""
-    if model._check is None:
-        stationary, rho_ar = polynomial_radius(model.phi)
-        invertible, rho_ma = polynomial_radius(model.theta)
-        model._check = ModelCheck(
-            stationary=stationary,
-            invertible=invertible,
-            spectral_radius_ar=rho_ar,
-            spectral_radius_ma=rho_ma,
-        )
-    return model._check
+    stationary, rho_ar = polynomial_radius(model.phi)
+    invertible, rho_ma = polynomial_radius(model.theta)
+    return ModelCheck(stationary, invertible, rho_ar, rho_ma)
 
 
 def _impulse_response(ar: tuple, ma: tuple, k: int, count: int) -> list:

@@ -53,6 +53,14 @@ def test_quick_start_signatures():
     assert vd.diagnostics.RACF_MODES == ("hosking", "li_mcleod", "chitturi")
 
 
+def test_exported_dataclasses_are_frozen():
+    classes = [getattr(vd, name) for name in vd.__all__]
+    frozen = {cls.__name__: cls.__dataclass_params__.frozen
+              for cls in classes if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
+    assert {"VarmaModel", "McConfig", "TestReport"} <= set(frozen)
+    assert [name for name, is_frozen in frozen.items() if not is_frozen] == []
+
+
 def _hooked_pairs() -> list:
     """The ``(module, attribute)`` pairs that ``perfbench/tracer.py`` wraps."""
     spec = importlib.util.spec_from_file_location("_bench_tracer",

@@ -177,6 +177,7 @@ class TestUsageErrors:
     def test_bad_lag_list(self, tmp_path, white_csv):
         assert run(["test", "--input", str(white_csv), "--order", "1",
                     "--lags", "3;5"]) == 1
+        assert run(["test", "--input", str(white_csv), "--order", "1", "--lags="]) == 1
 
     def test_chi2_refuses_transformed_residuals(self, white_csv, capsys):
         for transform in ("square", "abs"):

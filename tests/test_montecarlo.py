@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import multiprocessing.util
 import os
 import subprocess
 import sys
@@ -108,6 +109,11 @@ class TestDeriveSeed:
         assert derive_key(1, 2, 3) != derive_key(1, 3, 2)
         assert derive_key(2**64 - 1, 5) == derive_key(-1, 5)
 
+    def test_numpy_integer_master_is_mixed_as_an_int(self):
+        assert derive_key(np.int64(3), 0) == derive_key(3, 0)
+        assert derive_seed(np.int64(3), 0).bit_generator.state == \
+            derive_seed(3, 0).bit_generator.state
+
 
 class TestSeededChunks:
     """A chunk's first attempts, seeded in one pass, are exactly ``derive_seed``'s streams."""
@@ -140,10 +146,10 @@ class TestSeededChunks:
         from vardiag.montecarlo import _draw_innovations, _seeded
 
         plan = _phi1_plan(innovations)
-        chunk = _draw_innovations(plan, _seeded(plan.master_seed, 3, 40))
+        chunk = _draw_innovations(plan, _seeded(plan.config.master_seed, 3, 40))
         assert len(chunk) == 37
         for index, got in zip(range(3, 40), chunk):
-            expect = _draw_innovations(plan, [derive_seed(plan.master_seed, index, 0)])[0]
+            expect = _draw_innovations(plan, [derive_seed(plan.config.master_seed, index, 0)])[0]
             assert got.tobytes() == expect.tobytes()
 
     def test_generators_are_independent(self):
@@ -178,11 +184,11 @@ class TestChunkDraw:
         config = McConfig(replicates=199, master_seed=23, lags=(2,), innovations=innovations)
         plan = _build_plan(fit_var(series, 1), 60, config, ("gv",))
         k = series.shape[1]
-        steps = mc.burn_in_length(plan.order, 0) + plan.n
-        got = _draw_innovations(plan, _seeded(plan.master_seed, 7, 7 + width))
+        steps = mc.burn_in_length(plan.fitted.order, 0) + plan.n
+        got = _draw_innovations(plan, _seeded(plan.config.master_seed, 7, 7 + width))
         assert got.shape == (width, steps, k)
         for index, row in zip(range(7, 7 + width), got):
-            rng = derive_seed(plan.master_seed, index, 0)
+            rng = derive_seed(plan.config.master_seed, index, 0)
             if innovations == "gaussian":
                 expect = rng.standard_normal((steps, k)) @ plan.innov_chol.T
             else:
@@ -256,7 +262,8 @@ class TestMcConfig:
             McConfig(statistic="box")
 
     @pytest.mark.parametrize("name, value", [("replicates", 19.5), ("replicates", "199"),
-                                             ("workers", 1.5), ("workers", 2.0)])
+                                             ("workers", 1.5), ("workers", 2.0),
+                                             ("master_seed", 2.5), ("master_seed", "5")])
     def test_non_integer_count_is_refused_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             McConfig(**{name: value})
@@ -275,6 +282,18 @@ class TestMcConfig:
         config = McConfig(replicates=np.int64(19), workers=np.int64(1), lags=(2,))
         assert type(config.replicates) is int and type(config.workers) is int
         assert json.loads(mc_test(series, 1, config).to_json())["replicates"] == 19
+
+    def test_numpy_integer_seed_gives_the_plain_report(self):
+        series = simulate(catalog("phi1"), 80, derive_seed(8, 0))
+        config, plain = (McConfig(replicates=19, master_seed=seed, lags=(2,))
+                         for seed in (np.int64(5), 5))
+        assert type(config.master_seed) is int
+        assert mc_test(series, 1, config).to_json() == mc_test(series, 1, plain).to_json()
+
+    def test_negative_seed_runs(self):
+        series = simulate(catalog("phi1"), 80, derive_seed(8, 0))
+        report = mc_test(series, 1, McConfig(replicates=19, master_seed=-1, lags=(2,)))
+        assert report.master_seed == -1 and 0.0 < report.lags[0].p_value <= 1.0
 
 
 class TestMcTest:
@@ -442,9 +461,9 @@ class TestStackedReplicates:
         plan = _phi1_plan()
         clean = [mc._one_replicate(plan, i) for i in range(1, 40)]
         # the series replicate 3 simulates on its first attempt
-        noise = mc._draw_innovations(plan, [derive_seed(plan.master_seed, 3, 0)])[0]
-        burn = mc.burn_in_length(plan.order, 0)
-        first = plan.mean + mc.innovation_recursion(plan.phi, (), noise)[burn:]
+        noise = mc._draw_innovations(plan, [derive_seed(plan.config.master_seed, 3, 0)])[0]
+        burn = mc.burn_in_length(plan.fitted.order, 0)
+        first = plan.mean + mc.innovation_recursion(plan.fitted.phi_hat, (), noise)[burn:]
         original = mc.fit_var
 
         def failing(series, order, with_intercept=True):
@@ -455,8 +474,8 @@ class TestStackedReplicates:
             return original(series, order, with_intercept)
 
         # replicate 3's second attempt, simulated and scored by hand
-        noise = mc._draw_innovations(plan, [derive_seed(plan.master_seed, 3, 1)])[0]
-        redrawn = mc._score_path(plan, mc.innovation_recursion(plan.phi, (), noise))
+        noise = mc._draw_innovations(plan, [derive_seed(plan.config.master_seed, 3, 1)])[0]
+        redrawn = mc._score_path(plan, mc.innovation_recursion(plan.fitted.phi_hat, (), noise))
         monkeypatch.setattr(mc, "fit_var", failing)
         expect = [mc._one_replicate(plan, i) for i in range(1, 40)]
         got = mc._run_replicates(plan, 39, 1)
@@ -486,9 +505,9 @@ class TestStackedReplicates:
         plan = _phi1_plan()
         clean = [mc._one_replicate(plan, i) for i in range(1, 101)]
         original = mc.innovation_recursion
-        first, second = (mc._draw_innovations(plan, [derive_seed(plan.master_seed, 5, a)])[0]
+        first, second = (mc._draw_innovations(plan, [derive_seed(plan.config.master_seed, 5, a)])[0]
                          for a in (0, 1))
-        redrawn = mc._score_path(plan, original(plan.phi, (), second))
+        redrawn = mc._score_path(plan, original(plan.fitted.phi_hat, (), second))
         stacks = []
 
         def overflowing(phi, theta, innovations):
@@ -623,7 +642,9 @@ class TestStackedReplicates:
 
         from vardiag.montecarlo import _run_replicates
 
-        plan = dataclasses.replace(_phi1_plan(), phi=(40.0 * np.eye(2),))
+        plan = _phi1_plan()
+        plan = dataclasses.replace(
+            plan, fitted=dataclasses.replace(plan.fitted, phi_hat=(40.0 * np.eye(2),)))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ReplicateFailure, match="not finite"):
             _run_replicates(plan, 19, 1)
@@ -686,6 +707,33 @@ class TestPool:
         for workers in (2, 2, 3):
             assert mc._pool_map(abs, [-1, -2, -3], workers) == [1, 2, 3]
         assert events == [("start", 2), ("shutdown", 2), ("start", 3)]
+
+    def test_one_exit_hook_per_live_pool(self, cold_pool):
+        def hooks():
+            return [hook for hook in multiprocessing.util._finalizer_registry.values()
+                    if hook._callback is mc._drop_pool]
+
+        for workers in (2, 3) * 5:
+            assert mc._pool_map(abs, [-1, -2, -3], workers) == [1, 2, 3]
+        assert len(hooks()) == 1
+        mc._drop_pool()
+        assert hooks() == []
+
+    def test_batch_size_follows_the_task_count(self, cold_pool, monkeypatch):
+        sizes = []
+
+        class Recording(mc.ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                sizes.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", Recording)
+        # 32 trials on 2 processes go in batches of 2; 4 replicate chunks go one at a time
+        vardiag.power_study(models=("model5",), ns=(60,), lags=(3,), trials=32,
+                            replicates=19, workers=2)
+        series = simulate(catalog("phi1"), 200, derive_seed(22, 0))
+        mc_test(series, 1, McConfig(replicates=199, lags=(2,), workers=2))
+        assert sizes == [2, 1]
 
     def test_broken_pool_raises_once_then_a_fresh_pool_serves(self, cold_pool):
         with pytest.raises(BrokenProcessPool):

@@ -106,7 +106,7 @@ class TestStudyArguments:
                                      dict(lags=(0,)), dict(lags=(-3, 5)), dict(lags=()),
                                      dict(ns=(0,)), dict(ns=(60, -5)), dict(ns=(60, 60)),
                                      dict(models=()), dict(models=("phi1", "phi1")),
-                                     dict(ns=(60.5,))])
+                                     dict(ns=(60.5,)), dict(master_seed=2.5)])
     def test_rejected_before_any_trial_runs(self, monkeypatch, study, bad):
         def no_trials(*args):
             raise AssertionError("trials ran before the arguments were checked")
@@ -127,7 +127,7 @@ class TestStudyArguments:
     def test_numpy_integer_counts_pass(self):
         result = power_study(models=("model5",), ns=(np.int64(60),), lags=(np.int64(3),),
                              trials=np.int64(2), replicates=np.int64(19), workers=np.int64(1),
-                             master_seed=5)
+                             master_seed=np.int64(5))
         assert [cell.trials for cell in result.cells] == [2, 2]
         plain = power_study(models=("model5",), ns=(60,), lags=(3,), trials=2, replicates=19,
                             master_seed=5)

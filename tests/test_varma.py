@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from vardiag import (
     validate_model,
 )
 from vardiag.montecarlo import derive_seed
-from vardiag.varma import innovation_recursion
+from vardiag.varma import ModelCheck, innovation_recursion
 
 from reference import loop_recursion
 
@@ -40,6 +41,26 @@ class TestModelConstruction:
         from vardiag import NotPositiveDefinite
         with pytest.raises(NotPositiveDefinite):
             VarmaModel(innov_cov=[[1.0, 2.0], [2.0, 1.0]])
+
+    def test_fields_cannot_be_assigned(self):
+        model = catalog("phi1")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.phi = (2 * np.eye(2),)
+
+    @pytest.mark.parametrize("extra", [dict(_check=ModelCheck(True, True, 0.0, 0.0)),
+                                       dict(_innov_chol=np.eye(2))])
+    def test_verdict_and_factor_are_not_parameters(self, extra):
+        with pytest.raises(TypeError):
+            VarmaModel(phi=(2 * np.eye(2),), innov_cov=np.eye(2), **extra)
+
+    def test_replaced_model_is_checked_afresh(self):
+        model = catalog("phi1")
+        simulate(model, 10, derive_seed(1, 0))
+        explosive = dataclasses.replace(model, phi=(2 * np.eye(2),))
+        with pytest.raises(InvalidModel, match="AR radius 2.0"):
+            simulate(explosive, 10, derive_seed(1, 0))
+        wider = dataclasses.replace(model, innov_cov=4 * np.eye(2))
+        assert np.array_equal(wider._innov_chol, 2 * np.eye(2))
 
 
 class TestValidate:
