@@ -19,7 +19,7 @@ from .linalg import spd_inverse
 from .varma import VarmaModel, inverse_ma_weights, ma_weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignSet:
     """Design matrices of the quadratic-form null distribution.
 

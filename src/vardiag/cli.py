@@ -123,14 +123,20 @@ def _chi2_rows(fitted, observed, stat_key, lags, order):
 
 def _cmd_test(args) -> tuple:
     _check_flag(args, "--order", args.order, 0)
-    if args.method == "chi2" and args.transform != "none":
-        # the chi-square degrees of freedom hold for raw residuals only
-        raise _UsageError(f"vardiag test: --transform {args.transform} needs --method mc")
     lags = _int_list(args.lags, "--lags")
     try:
         _check_lags(lags)
     except ValueError as err:
         raise _UsageError(f"vardiag test: --lags: {err}") from None
+    if args.method == "chi2":
+        # chi2 simulates no null, and its approximations hold for raw residuals at lags m > p
+        for flag, value, default in (("--transform", args.transform, "none"),
+                                     ("--innovations", args.innovations, "gaussian")):
+            if value != default:
+                raise _UsageError(f"vardiag test: {flag} {value} needs --method mc")
+        if lags[0] <= args.order:
+            raise _UsageError(f"vardiag test: --method chi2 needs every lag above --order "
+                              f"{args.order} (m > p), got lag {lags[0]}")
     stat_key = args.stat
     statistic = _STAT_NAMES[stat_key]
     transform = _TRANSFORMS[args.transform]
@@ -177,6 +183,7 @@ def _cmd_test(args) -> tuple:
         print(f"{'lag':>5} {'statistic':>14} {'p-value':>10}")
         for row in rows:
             print(f"{row['lag']:>5} {row['observed']:>14.5f} {row['p_value']:>10.4f}")
+        return None, payload
     return args.seed, payload
 
 

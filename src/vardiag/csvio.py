@@ -15,7 +15,7 @@ import numpy as np
 from .errors import EmptyData, ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CsvTable:
     """Rectangular numeric table with named columns."""
 

@@ -50,7 +50,7 @@ Q_VARIANTS = ("classic", "modified")
 TRANSFORMS = ("identity", "square", "abs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Autocovariances:
     """Sample autocovariance matrices of a residual series, lags 0..max_lag.
 
@@ -77,7 +77,7 @@ class Autocovariances:
         return spd_inverse(self.values[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Autocorrelations:
     """Residual autocorrelation matrices for one standardization mode."""
 

@@ -6,6 +6,7 @@ column means (or the raw series when no intercept is requested).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,7 @@ from .errors import NotPositiveDefinite, SingularDesign, TooShort
 from .linalg import _cross, cholesky_lower
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FittedVar:
     """Result of a least-squares VAR fit.
 
@@ -37,6 +38,17 @@ class FittedVar:
     @property
     def n_eff(self) -> int:
         return self.residuals.shape[-2]
+
+
+def _check_count(name: str, value, least: int) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is an integer >= ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
 
 
 def _as_series(series) -> np.ndarray:
@@ -77,8 +89,7 @@ def fit_var(series, p: int, with_intercept: bool = True) -> FittedVar:
     """
     values = _as_series(series)
     n, k = values.shape[-2:]
-    if p < 0:
-        raise ValueError("order must be nonnegative")
+    p = _check_count("order", p, 0)
     if n - p <= k * p + 1:
         raise TooShort(
             f"need n - p > k*p + 1 observations (n={n}, p={p}, k={k})")

@@ -63,9 +63,8 @@ from .errors import (
     NotPositiveDefinite,
     ReplicateFailure,
     SingularDesign,
-    TooShort,
 )
-from .estimate import FittedVar, fit_var, implied_mean
+from .estimate import FittedVar, _check_count, fit_var
 from .linalg import cholesky_lower
 from .varma import burn_in_length, innovation_recursion, polynomial_radius
 
@@ -148,17 +147,6 @@ def _seeded(master: int, start: int, stop: int) -> list:
     words = _seed_words(derive_key(master, np.arange(start, stop, dtype=np.uint64), 0))
     # PCG64 reads each key's words straight from memory, so the rows must be contiguous
     return [np.random.Generator(np.random.PCG64(_Words(w))) for w in np.ascontiguousarray(words.T)]
-
-
-def _check_count(name: str, value, least: int) -> int:
-    """``value`` as an int; ``ValueError`` naming ``name`` unless it is an integer >= ``least``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}")
-    return value
 
 
 def _check_lags(lags) -> tuple:
@@ -299,27 +287,31 @@ def evaluate_statistics(residuals, statistics, lags, transform: str = "identity"
 class _ReplicatePlan:
     """Everything a worker needs to generate and score one replicate.
 
-    The null is ``fitted``'s VAR; besides it and ``config``, the plan holds
-    only what a test computes once.
+    The null is ``fitted``'s VAR about mean zero: a refit with an intercept is the
+    same at any level, and without one the fitted mean is zero.  ``innov_chol``
+    is ``None`` for bootstrap draws.
     """
 
     fitted: FittedVar
     config: McConfig
     statistics: tuple
-    n: int
-    mean: np.ndarray
     innov_chol: np.ndarray
-    pool: np.ndarray
+
+
+def _path_steps(fitted: FittedVar) -> int:
+    """Steps of one simulated path: the burn-in, then as many rows as the fitted series."""
+    return burn_in_length(fitted.order, 0) + fitted.order + fitted.n_eff
 
 
 def _draw_innovations(plan: _ReplicatePlan, rngs) -> np.ndarray:
     """One replicate's innovations per generator, in one buffer coloured or gathered once."""
-    steps = burn_in_length(plan.fitted.order, 0) + plan.n
-    if plan.pool is not None:
+    steps = _path_steps(plan.fitted)
+    if plan.innov_chol is None:
+        resid = plan.fitted.residuals
         idx = np.empty((len(rngs), steps), dtype=np.int64)
         for row, rng in zip(idx, rngs):
-            row[:] = rng.integers(0, plan.pool.shape[0], size=steps)
-        return plan.pool[idx]
+            row[:] = rng.integers(0, resid.shape[0], size=steps)
+        return (resid - resid.mean(axis=0))[idx]
     k = plan.innov_chol.shape[0]
     noise = np.empty((len(rngs), steps, k))
     for row, rng in zip(noise, rngs):
@@ -333,14 +325,14 @@ def _score_path(plan: _ReplicatePlan, path: np.ndarray) -> np.ndarray:
         raise NonFinitePath(
             "simulated path is not finite (numerically explosive fitted model)")
     fitted, config = plan.fitted, plan.config
-    refit = fit_var(plan.mean + path[..., burn_in_length(fitted.order, 0):, :],
+    refit = fit_var(path[..., burn_in_length(fitted.order, 0):, :],
                     fitted.order, fitted.with_intercept)
     return evaluate_statistics(refit.residuals, plan.statistics, config.lags, config.transform)
 
 
-# Numeric failures after which a replicate is redrawn with the next attempt.
-_RETRIED = (SingularDesign, TooShort, DegenerateResiduals, NotPositiveDefinite,
-            NonFinitePath)
+# Numeric failures after which a replicate is redrawn with the next attempt.  A
+# replicate's refit has the observed fit's n, p and k, so it is never too short.
+_RETRIED = (SingularDesign, DegenerateResiduals, NotPositiveDefinite, NonFinitePath)
 
 
 def _one_replicate(plan: _ReplicatePlan, index: int) -> np.ndarray:
@@ -427,8 +419,7 @@ def _pool_map(fn, tasks, workers: int) -> list:
 
 def _chunk_rows(plan: _ReplicatePlan) -> int:
     """Replicates per chunk: paths of ``_FACTOR_FLOATS`` floats, at least ``_CHUNK``."""
-    path_floats = (burn_in_length(plan.fitted.order, 0) + plan.n) * plan.mean.shape[-1]
-    return max(_CHUNK, _FACTOR_FLOATS // path_floats)
+    return max(_CHUNK, _FACTOR_FLOATS // (_path_steps(plan.fitted) * plan.fitted.k))
 
 
 def _run_replicates(plan: _ReplicatePlan, n_reps: int, workers: int) -> list:
@@ -439,21 +430,15 @@ def _run_replicates(plan: _ReplicatePlan, n_reps: int, workers: int) -> list:
     return [row for part in _pool_map(_replicate_chunk, jobs, workers) for row in part]
 
 
-def _build_plan(fitted: FittedVar, n: int, config: McConfig, statistics) -> _ReplicatePlan:
+def _build_plan(fitted: FittedVar, config: McConfig, statistics) -> _ReplicatePlan:
     # The null is simulated from the fitted model, so it must be stationary.
     stationary, radius = polynomial_radius(fitted.phi_hat)
     if not stationary:
         raise InvalidModel(
             f"fitted VAR({fitted.order}) is not stationary (AR spectral radius "
             f"{radius:.6f}); its Monte-Carlo null cannot be simulated")
-    if config.innovations == "bootstrap":
-        pool = fitted.residuals - fitted.residuals.mean(axis=0)
-        innov_chol = None
-    else:
-        pool = None
-        innov_chol = cholesky_lower(fitted.gamma0_hat)
-    return _ReplicatePlan(fitted, config, tuple(statistics), n, implied_mean(fitted),
-                          innov_chol, pool)
+    innov_chol = None if config.innovations == "bootstrap" else cholesky_lower(fitted.gamma0_hat)
+    return _ReplicatePlan(fitted, config, tuple(statistics), innov_chol)
 
 
 def mc_pvalues(series, order: int, config: McConfig, statistics=None,
@@ -467,11 +452,10 @@ def mc_pvalues(series, order: int, config: McConfig, statistics=None,
     """
     if statistics is None:
         statistics = (config.statistic,)
-    series = np.asarray(series, dtype=float)
     fitted = fit_var(series, order, with_intercept=with_intercept)
     observed = evaluate_statistics(
         fitted.residuals, statistics, config.lags, config.transform)
-    plan = _build_plan(fitted, series.shape[0], config, statistics)
+    plan = _build_plan(fitted, config, statistics)
     replicate_stats = np.array(_run_replicates(plan, config.replicates, config.workers))
 
     exceed = (replicate_stats >= observed).sum(axis=0)
@@ -501,7 +485,7 @@ def mc_test(series, order: int, config: McConfig,
         master_seed=config.master_seed,
         innovations=config.innovations,
         transform=config.transform,
-        order=order,
+        order=fitted.order,
         with_intercept=fitted.with_intercept,
         n_eff=fitted.n_eff,
         lags=results,

@@ -9,7 +9,7 @@ is regenerable from the metadata embedded in the result.
 
 Default scale (trials=500, replicates=199) finishes in minutes on a
 multi-core desktop; the full reference scale (trials=10^4, replicates=10^3)
-needs a cluster.
+needs hours of CPU.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from ._version import __version__
 from .asymptotics import ab_params, approx_pvalue
 from .diagnostics import _lag_fits
 from .errors import InvalidModel
-from .estimate import fit_var
+from .estimate import _check_count, fit_var
 from .montecarlo import (
-    McConfig, _check_count, _pool_map, derive_key, derive_seed, evaluate_statistics, mc_pvalues)
+    McConfig, _pool_map, derive_key, derive_seed, evaluate_statistics, mc_pvalues)
 from .varma import CATALOG_NAMES, catalog, simulate
 
 DEFAULT_TRIALS = 500
@@ -161,10 +161,11 @@ def _run_study(kind, columns, order, *, models, ns, lags, trials, replicates,
     """Run every trial of every (model, n) stratum in one pool map, and sum the rejections.
 
     A trial sees its stratum's lags that pass the lag guard; a stratum with no
-    such lag runs none.  Every model name is resolved before the first trial.
+    such lag runs none.  Every model name and the fit order are checked first.
     """
     trials, ns, config = check_study_args(models, trials, replicates, workers, lags, ns,
                                           master_seed)
+    order = _check_count("fit_order", order, 0)
     strata = []          # (model, n, usable lags) of the strata that run trials
     tasks, skipped = [], []
     for name in models:

@@ -23,7 +23,7 @@ from .linalg import cholesky_lower
 STATIONARITY_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarmaModel:
     """Full VARMA(p, q) parameterization.
 
@@ -46,7 +46,7 @@ class VarmaModel:
     theta: tuple = ()
     innov_cov: np.ndarray = None
     mean: np.ndarray = None
-    _innov_chol: np.ndarray = field(init=False, repr=False, compare=False)
+    _innov_chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.innov_cov is None:

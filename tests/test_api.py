@@ -12,6 +12,8 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+
 import vardiag as vd
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,6 +61,24 @@ def test_exported_dataclasses_are_frozen():
               for cls in classes if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
     assert {"VarmaModel", "McConfig", "TestReport"} <= set(frozen)
     assert [name for name, is_frozen in frozen.items() if not is_frozen] == []
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    series = vd.simulate(vd.catalog("phi1"), 40, vd.derive_seed(1, 0))
+    makers = {
+        "VarmaModel": lambda: vd.catalog("phi1"),
+        "FittedVar": lambda: vd.fit_var(series, 1),
+        "Autocovariances": lambda: vd.sample_acov(series, 2),
+        "Autocorrelations": lambda: vd.racf(vd.sample_acov(series, 2), "hosking"),
+        "DesignSet": lambda: vd.build_design(vd.catalog("phi1"), 3),
+        "CsvTable": lambda: vd.CsvTable(("a", "b"), np.ones((2, 2))),
+    }
+    for name, make in makers.items():
+        first, second = make(), make()
+        assert type(first).__name__ == name
+        # compared by identity: a bool, where comparing the arrays would raise
+        assert (first == second) is False and (first == first) is True, name
+        assert hash(first) != hash(second), name
 
 
 def _hooked_pairs() -> list:

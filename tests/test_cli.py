@@ -6,7 +6,7 @@ import pytest
 from reference import explosive_series
 
 import vardiag.studies as studies
-from vardiag import CsvTable, __version__, read_csv, write_csv
+from vardiag import CsvTable, McConfig, __version__, mc_test, read_csv, write_csv
 from vardiag.cli import main
 
 
@@ -108,6 +108,17 @@ class TestTest:
                     "--lags", "5", "--stat", "qtilde", "--method", "chi2"])
         assert code == 0
 
+    def test_mc_method_without_intercept(self, tmp_path, white_csv):
+        out = tmp_path / "report.json"
+        assert run(["test", "--input", str(white_csv), "--order", "1", "--lags", "3,5",
+                    "--method", "mc", "--no-intercept", "--reps", "19", "--seed", "4",
+                    "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert report["with_intercept"] is False
+        config = McConfig(replicates=19, master_seed=4, lags=(3, 5))
+        expect = mc_test(read_csv(white_csv).values, 1, config, with_intercept=False)
+        assert report == json.loads(expect.to_json())
+
     def test_document_round_trips(self, tmp_path, white_csv):
         out = tmp_path / "report.json"
         run(["test", "--input", str(white_csv), "--order", "0", "--lags", "3",
@@ -147,6 +158,9 @@ class TestDocuments:
           "--reps", "19", "--seed", "5", "--method", "chi2", "--out", "{out}"], 5, {"result"}),
         (["power-study", "--model", "model5", "--n", "60", "--lags", "3", "--trials", "2",
           "--reps", "19", "--seed", "6", "--out", "{out}"], 6, {"result"}),
+        # chi2 draws nothing, so its document names no seed
+        (["test", "--input", "{csv}", "--order", "1", "--lags", "3", "--method", "chi2",
+          "--seed", "4", "--out", "{out}"], None, {"method", "report"}),
     ])
     def test_every_command_writes_the_same_header(self, argv, seed, payload, tmp_path,
                                                   white_csv):
@@ -185,6 +199,23 @@ class TestUsageErrors:
                         "--lags", "5", "--method", "chi2",
                         "--transform", transform]) == 1
             assert "--method mc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--order", "1", "--lags", "5", "--innovations", "bootstrap"],
+         "--innovations bootstrap needs --method mc"),
+        (["--order", "1", "--lags", "1"],
+         "--method chi2 needs every lag above --order 1 (m > p), got lag 1"),
+        (["--order", "2", "--lags", "1,5"],
+         "--method chi2 needs every lag above --order 2 (m > p), got lag 1"),
+    ])
+    def test_chi2_refuses_what_it_cannot_use_before_the_input_is_read(self, flags, message,
+                                                                       tmp_path, capsys):
+        # the input file does not exist, so reading it first would exit 2
+        out = tmp_path / "out.json"
+        assert run(["test", "--input", str(tmp_path / "missing.csv"), *flags,
+                    "--method", "chi2", "--out", str(out)]) == 1
+        assert f"vardiag test: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["chi2", "mc"])
     @pytest.mark.parametrize("lags", ["10,5", "5,5", "0", "-3,5"])

@@ -38,6 +38,17 @@ class TestVarFit:
         with pytest.raises(TooShort):
             fit_var(np.random.default_rng(0).standard_normal((4, 2)), 1)
 
+    @pytest.mark.parametrize("order, message", [(2.5, "order must be an integer, got 2.5"),
+                                                 ("1", "order must be an integer"),
+                                                 (-1, "order must be at least 0")])
+    def test_order_is_refused_by_name(self, order, message):
+        with pytest.raises(ValueError, match=message):
+            fit_var(np.random.default_rng(0).standard_normal((40, 2)), order)
+
+    def test_numpy_integer_order_is_an_int(self):
+        fit = fit_var(np.random.default_rng(0).standard_normal((40, 2)), np.int64(1))
+        assert type(fit.order) is int and fit.order == 1
+
     def test_orthogonality_of_residuals(self):
         rng = np.random.default_rng(3)
         data = simulate(catalog("model1"), 300, derive_seed(5, 0))

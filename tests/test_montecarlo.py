@@ -22,6 +22,7 @@ import vardiag.montecarlo as mc
 from vardiag import (
     Autocorrelations,
     Autocovariances,
+    DegenerateResiduals,
     InvalidModel,
     McConfig,
     NotPositiveDefinite,
@@ -182,9 +183,9 @@ class TestChunkDraw:
 
         series = simulate(catalog(model), 60, derive_seed(22, 0))
         config = McConfig(replicates=199, master_seed=23, lags=(2,), innovations=innovations)
-        plan = _build_plan(fit_var(series, 1), 60, config, ("gv",))
+        plan = _build_plan(fit_var(series, 1), config, ("gv",))
         k = series.shape[1]
-        steps = mc.burn_in_length(plan.fitted.order, 0) + plan.n
+        steps = mc.burn_in_length(plan.fitted.order, 0) + 60
         got = _draw_innovations(plan, _seeded(plan.config.master_seed, 7, 7 + width))
         assert got.shape == (width, steps, k)
         for index, row in zip(range(7, 7 + width), got):
@@ -192,7 +193,8 @@ class TestChunkDraw:
             if innovations == "gaussian":
                 expect = rng.standard_normal((steps, k)) @ plan.innov_chol.T
             else:
-                expect = plan.pool[rng.integers(0, len(plan.pool), size=steps)]
+                centred = plan.fitted.residuals - plan.fitted.residuals.mean(axis=0)
+                expect = centred[rng.integers(0, len(centred), size=steps)]
             assert row.tobytes() == expect.tobytes()
 
 
@@ -327,13 +329,56 @@ class TestMcTest:
         config = McConfig(replicates=19, master_seed=11, lags=(3,))
         report = mc_test(series, 1, config)
         fitted = fit_var(series, 1)
-        plan = _build_plan(fitted, 100, config, ("gv",))
+        plan = _build_plan(fitted, config, ("gv",))
         stats = [_one_replicate(plan, i)[0, 0] for i in range(1, 20)]
         manual = sum(s >= report.lags[0].observed for s in stats)
         assert manual == report.lags[0].exceedances
         # exchangeability: aggregation is a pure count, order free
         shuffled = sum(s >= report.lags[0].observed for s in reversed(stats))
         assert shuffled == manual
+
+    def test_no_intercept_mode(self):
+        series = simulate(catalog("phi1"), 120, derive_seed(30, 0))
+        config = McConfig(replicates=19, master_seed=31, lags=(2, 4))
+        report = mc_test(series, 1, config, with_intercept=False)
+        assert report.with_intercept is False
+        assert report.to_json() != mc_test(series, 1, config).to_json()
+        for row in report.lags:
+            assert 1.0 / 20.0 <= row.p_value <= 1.0
+
+    @pytest.mark.parametrize("innovations", ["gaussian", "bootstrap"])
+    def test_no_intercept_row_equals_its_hand_built_refit(self, innovations):
+        series = simulate(catalog("phi3"), 100, derive_seed(32, 0))
+        config = McConfig(replicates=39, master_seed=33, lags=(2, 5), innovations=innovations)
+        fitted = fit_var(series, 1, with_intercept=False)
+        plan = mc._build_plan(fitted, config, ("gv", "q_modified"))
+        burn = mc.burn_in_length(1, 0)
+        stacked = mc._run_replicates(plan, 39, 1)
+        for index in (1, 7, 39):
+            rng = derive_seed(33, index, 0)
+            if innovations == "gaussian":
+                noise = rng.standard_normal((burn + 100, 2)) @ np.linalg.cholesky(
+                    fitted.gamma0_hat).T
+            else:
+                centred = fitted.residuals - fitted.residuals.mean(axis=0)
+                noise = centred[rng.integers(0, 99, size=burn + 100)]
+            # a zero-mean path refitted without an intercept, with no level added
+            path = mc.innovation_recursion(fitted.phi_hat, (), noise)[burn:]
+            refit = fit_var(path, 1, with_intercept=False)
+            expect = evaluate_statistics(refit.residuals, ("gv", "q_modified"), (2, 5))
+            assert mc._one_replicate(plan, index).tobytes() == expect.tobytes()
+            assert _close_rows([stacked[index - 1]], [expect])
+
+    def test_fit_order_is_checked_like_a_count(self):
+        series = simulate(catalog("phi1"), 80, derive_seed(34, 0))
+        config = McConfig(replicates=19, master_seed=35, lags=(2,))
+        plain = mc_test(series, 1, config).to_json()
+        assert mc_test(series, np.int64(1), config).to_json() == plain
+        assert json.loads(mc_test(series, True, config).to_json())["order"] == 1
+        with pytest.raises(ValueError, match="order must be an integer, got 2.5"):
+            mc_test(series, 2.5, config)
+        with pytest.raises(ValueError, match="order must be at least 0"):
+            mc_test(series, -1, config)
 
     def test_bootstrap_mode(self):
         series = simulate(catalog("phi3"), 130, derive_seed(9, 0))
@@ -396,7 +441,7 @@ class TestMcTest:
         failing.armed = True
         from vardiag.montecarlo import _build_plan, _one_replicate
 
-        plan = _build_plan(fitted, 100, config, ("gv",))
+        plan = _build_plan(fitted, config, ("gv",))
         with pytest.raises(ReplicateFailure):
             _one_replicate(plan, 1)
 
@@ -422,7 +467,7 @@ def _phi1_plan(innovations="gaussian", n=120):
     series = simulate(catalog("phi1"), n, derive_seed(14, 0))
     config = McConfig(replicates=39, master_seed=15, lags=(2, 5),
                       innovations=innovations)
-    return _build_plan(fit_var(series, 1), n, config, ("gv", "q_modified"))
+    return _build_plan(fit_var(series, 1), config, ("gv", "q_modified"))
 
 
 def _close_rows(got, expect, rtol=1e-12):
@@ -440,8 +485,7 @@ class TestStackedReplicates:
         series = simulate(catalog("phi1"), 400, derive_seed(16, 0))
         base = dict(replicates=replicates, master_seed=17, lags=(2, 4),
                     innovations=innovations, statistic="q_modified")
-        rows = _chunk_rows(_build_plan(fit_var(series, 1), 400, McConfig(**base),
-                                       ("q_modified",)))
+        rows = _chunk_rows(_build_plan(fit_var(series, 1), McConfig(**base), ("q_modified",)))
         assert replicates > rows and replicates % rows != 0
         reports = {w: mc_test(series, 1, McConfig(workers=w, **base)).to_json()
                    for w in (1, 2, 3)}
@@ -463,7 +507,7 @@ class TestStackedReplicates:
         # the series replicate 3 simulates on its first attempt
         noise = mc._draw_innovations(plan, [derive_seed(plan.config.master_seed, 3, 0)])[0]
         burn = mc.burn_in_length(plan.fitted.order, 0)
-        first = plan.mean + mc.innovation_recursion(plan.fitted.phi_hat, (), noise)[burn:]
+        first = mc.innovation_recursion(plan.fitted.phi_hat, (), noise)[burn:]
         original = mc.fit_var
 
         def failing(series, order, with_intercept=True):
@@ -528,6 +572,31 @@ class TestStackedReplicates:
         assert not np.allclose(got[4], clean[4])
         # n = 120: (110 burn-in + 120) steps x 2 series per path, 2**15 // 460 = 71 rows
         assert stacks == [71, 29]
+
+    def test_degenerate_row_is_redrawn(self, monkeypatch):
+        import vardiag.montecarlo as mc
+
+        plan = _phi1_plan()
+        clean = [mc._one_replicate(plan, i) for i in range(1, 40)]
+        burn = mc.burn_in_length(plan.fitted.order, 0)
+        first, second = (mc.innovation_recursion(plan.fitted.phi_hat, (), mc._draw_innovations(
+            plan, [derive_seed(plan.config.master_seed, 3, a)])[0]) for a in (0, 1))
+        # the residuals replicate 3's first attempt refits to
+        degenerate = fit_var(first[burn:], plan.fitted.order).residuals
+        redrawn = mc._score_path(plan, second)
+        original = mc.sample_acov
+
+        def failing(residuals, m):
+            rows = np.reshape(residuals, (-1,) + degenerate.shape)
+            if any(np.allclose(row, degenerate, rtol=1e-10, atol=1e-12) for row in rows):
+                raise DegenerateResiduals("forced failure")
+            return original(residuals, m)
+
+        monkeypatch.setattr(mc, "sample_acov", failing)
+        got = mc._run_replicates(plan, 39, 1)
+        assert _close_rows(got[3:], clean[3:]) and _close_rows(got[:2], clean[:2])
+        assert _close_rows(got[2:3], [redrawn])
+        assert not np.allclose(got[2], clean[2])
 
     def test_non_pd_stack_is_rescored_without_redraws(self, monkeypatch):
         import vardiag.montecarlo as mc
@@ -597,7 +666,7 @@ class TestStackedReplicates:
                           innovations=innovations, statistic=statistic)
         wide = mc_test(series, 1, config).to_json()
         monkeypatch.setattr(mc, "_FACTOR_FLOATS", 0)  # every chunk at the 32-row floor
-        assert mc._chunk_rows(mc._build_plan(fit_var(series, 1), n, config,
+        assert mc._chunk_rows(mc._build_plan(fit_var(series, 1), config,
                                              (statistic,))) == mc._CHUNK
         assert mc_test(series, 1, config).to_json() == wide
 

@@ -3,7 +3,9 @@
 With an intercept in the fit, a nonsingular linear map (and a shift) of the
 series maps the residuals by the same matrix.  The hosking autocorrelations
 then change by an orthogonal similarity, and Q's trace form not at all, so
-gv and Q~ must not move.  A column permutation is one such map.
+gv and Q~ must not move.  A column permutation is one such map.  A shift
+alone changes them only by rounding, and the Monte-Carlo null relies on it:
+it simulates its replicates as deviations from the fitted mean.
 
 The simulator's doubling scan solves the same VARMA recursion as the
 time-step loop, so on any stationary model and any stack of paths the two
@@ -77,6 +79,16 @@ def test_linear_map_and_shift_leave_statistics_unchanged(case):
     mapped = series @ _well_conditioned(rng, k).T + rng.uniform(-10.0, 10.0, k)
     np.testing.assert_allclose(_scores(mapped, p, lags), _scores(series, p, lags),
                                rtol=1e-7, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fitted_cases())
+def test_level_shift_leaves_statistics_unchanged_to_rounding(case):
+    series, p, lags, rng = case
+    # a level of the series' own scale
+    shift = rng.uniform(-1.0, 1.0, series.shape[1]) * np.abs(series).max()
+    np.testing.assert_allclose(_scores(series + shift, p, lags), _scores(series, p, lags),
+                               rtol=1e-9, atol=0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -134,6 +134,23 @@ class TestStudyArguments:
         assert result.to_json() == plain.to_json()
 
 
+    @pytest.mark.parametrize("fit_order, message", [(2.5, "fit_order must be an integer"),
+                                                     (-1, "fit_order must be at least 0")])
+    def test_fit_order_is_checked_before_any_trial(self, monkeypatch, fit_order, message):
+        def no_trials(*args):
+            raise AssertionError("trials ran before the fit order was checked")
+
+        monkeypatch.setattr(studies, "_pool_map", no_trials)
+        with pytest.raises(ValueError, match=message):
+            power_study(models=("model5",), ns=(60,), lags=(3,), trials=4, replicates=19,
+                        fit_order=fit_order)
+
+    def test_numpy_integer_fit_order_passes(self):
+        kwargs = dict(models=("model5",), ns=(60,), lags=(3,), trials=2, replicates=19,
+                      master_seed=5)
+        assert (power_study(fit_order=np.int64(1), **kwargs).to_json()
+                == power_study(fit_order=1, **kwargs).to_json())
+
     @pytest.mark.parametrize("name, orders", [("model1", "VARMA(2, 0)"),
                                               ("model5", "VARMA(0, 1)")])
     def test_size_study_refuses_a_null_that_is_not_var1(self, monkeypatch, name, orders):
