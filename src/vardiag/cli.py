@@ -20,10 +20,10 @@ import numpy as np
 from ._version import __version__
 from .asymptotics import ab_params, approx_pvalue, q_pvalue_asymptotic
 from .csvio import CsvTable, read_csv, write_csv
-from .errors import UnknownModel, VardiagError
+from .errors import DegenerateDf, UnknownModel, VardiagError
 from .estimate import fit_var
 from .montecarlo import McConfig, _check_lags, derive_seed, evaluate_statistics, mc_test
-from .studies import check_study_args, power_study, size_study
+from .studies import DEFAULT_TRIALS, check_study_args, power_study, size_study
 from .varma import CATALOG_NAMES, VarmaModel, catalog, simulate
 
 _STAT_NAMES = {"gv": "gv", "q": "q_classic", "qtilde": "q_modified"}
@@ -62,10 +62,18 @@ def _load_model(spec: str) -> VarmaModel:
         raise UnknownModel(
             f"{spec!r} is neither a catalog name ({', '.join(CATALOG_NAMES)}) "
             "nor a readable model file") from None
+    keys = ("phi", "theta", "innov_cov", "mean")
+    if not isinstance(payload, dict):
+        raise UnknownModel(f"model file {spec!r} is not a JSON object with keys among "
+                           f"{', '.join(keys)}")
+    unknown = sorted(set(payload) - set(keys))
+    if unknown:
+        raise UnknownModel(f"model file {spec!r} has unknown keys {', '.join(unknown)}; "
+                           f"expected keys among {', '.join(keys)}")
     return VarmaModel(
-        phi=tuple(payload.get("phi", ())),
-        theta=tuple(payload.get("theta", ())),
-        innov_cov=payload["innov_cov"],
+        phi=payload.get("phi", ()),
+        theta=payload.get("theta", ()),
+        innov_cov=payload.get("innov_cov"),
         mean=payload.get("mean"),
     )
 
@@ -104,12 +112,12 @@ def _cmd_fit(args) -> tuple:
     return None, payload
 
 
-def _chi2_rows(fitted, observed, stat_key, lags, order):
+def _chi2_rows(fitted, observed, statistic, lags, order):
     rows = []
     k = fitted.k
     for col, lag in enumerate(lags):
         value = float(observed[0, col])
-        if stat_key == "gv":
+        if statistic == "gv":
             ab = ab_params(k, lag, order, 0)
             pv = approx_pvalue(value, ab)
             rows.append({"lag": lag, "observed": value, "p_value": pv,
@@ -128,63 +136,66 @@ def _cmd_test(args) -> tuple:
         _check_lags(lags)
     except ValueError as err:
         raise _UsageError(f"vardiag test: --lags: {err}") from None
+    try:
+        # both methods take the Monte-Carlo flags, so both check them
+        config = McConfig(
+            replicates=args.reps, master_seed=args.seed,
+            innovations=args.innovations, transform=_TRANSFORMS[args.transform],
+            statistic=_STAT_NAMES[args.stat], lags=lags, workers=args.workers)
+    except ValueError as err:
+        raise _UsageError(f"vardiag test: {err}") from None
     if args.method == "chi2":
         # chi2 simulates no null, and its approximations hold for raw residuals at lags m > p
-        for flag, value, default in (("--transform", args.transform, "none"),
-                                     ("--innovations", args.innovations, "gaussian")):
-            if value != default:
-                raise _UsageError(f"vardiag test: {flag} {value} needs --method mc")
+        for field in ("transform", "innovations"):
+            if getattr(config, field) != getattr(McConfig, field):
+                raise _UsageError(f"vardiag test: --{field} {getattr(args, field)} "
+                                  "needs --method mc")
         if lags[0] <= args.order:
             raise _UsageError(f"vardiag test: --method chi2 needs every lag above --order "
                               f"{args.order} (m > p), got lag {lags[0]}")
-    stat_key = args.stat
-    statistic = _STAT_NAMES[stat_key]
-    transform = _TRANSFORMS[args.transform]
+        if config.statistic == "gv":
+            # the sign of gv's df does not depend on k, so k = 1 checks it before any input
+            try:
+                ab_params(1, lags[0], args.order, 0)
+            except DegenerateDf:
+                raise _UsageError(f"vardiag test: --method chi2 --stat gv has no degrees of "
+                                  f"freedom at lag {lags[0]} for --order {args.order}; "
+                                  "use a longer first lag") from None
     with_intercept = not args.no_intercept
-    if args.method == "mc":
-        try:
-            config = McConfig(
-                replicates=args.reps, master_seed=args.seed,
-                innovations=args.innovations, transform=transform,
-                statistic=statistic, lags=lags, workers=args.workers)
-        except ValueError as err:
-            # flag-level constraint (e.g. --reps below 19)
-            raise _UsageError(f"vardiag test: {err}") from None
     table = read_csv(args.input)
 
     if args.method == "mc":
         report = mc_test(table.values, args.order, config,
                          with_intercept=with_intercept)
         payload = {"method": "mc", "report": report.to_dict()}
-        print(f"Monte-Carlo test: statistic={stat_key} order={args.order} "
+        print(f"Monte-Carlo test: statistic={args.stat} order={args.order} "
               f"n_eff={report.n_eff} replicates={report.replicates} seed={report.master_seed}")
         print(f"{'lag':>5} {'statistic':>14} {'p-value':>10} {'margin':>9} {'nonpd':>6}")
         for row in report.lags:
             print(f"{row.lag:>5} {row.observed:>14.5f} {row.p_value:>10.4f} "
                   f"{row.margin_of_error:>9.4f} {row.nonpd_replicates:>6}")
-    else:
-        fitted = fit_var(table.values, args.order, with_intercept=with_intercept)
-        observed = evaluate_statistics(fitted.residuals, (statistic,), lags, transform)
-        rows = _chi2_rows(fitted, observed, stat_key, lags, args.order)
-        payload = {
-            "method": "chi2",
-            "report": {
-                "statistic": statistic,
-                "transform": transform,
-                "order": args.order,
-                "with_intercept": with_intercept,
-                "n_eff": fitted.n_eff,
-                "version": __version__,
-                "lags": rows,
-            },
-        }
-        print(f"chi-square test: statistic={stat_key} order={args.order} "
-              f"n_eff={fitted.n_eff}")
-        print(f"{'lag':>5} {'statistic':>14} {'p-value':>10}")
-        for row in rows:
-            print(f"{row['lag']:>5} {row['observed']:>14.5f} {row['p_value']:>10.4f}")
-        return None, payload
-    return args.seed, payload
+        return args.seed, payload
+    fitted = fit_var(table.values, args.order, with_intercept=with_intercept)
+    observed = evaluate_statistics(fitted.residuals, (config.statistic,), lags, config.transform)
+    rows = _chi2_rows(fitted, observed, config.statistic, lags, args.order)
+    payload = {
+        "method": "chi2",
+        "report": {
+            "statistic": config.statistic,
+            "transform": config.transform,
+            "order": args.order,
+            "with_intercept": with_intercept,
+            "n_eff": fitted.n_eff,
+            "version": __version__,
+            "lags": rows,
+        },
+    }
+    print(f"chi-square test: statistic={args.stat} order={args.order} "
+          f"n_eff={fitted.n_eff}")
+    print(f"{'lag':>5} {'statistic':>14} {'p-value':>10}")
+    for row in rows:
+        print(f"{row['lag']:>5} {row['observed']:>14.5f} {row['p_value']:>10.4f}")
+    return None, payload
 
 
 def _study_args(args, names: str) -> dict:
@@ -236,46 +247,41 @@ def _build_parser() -> _Parser:
     fit.add_argument("--out", default=None, help="output JSON path")
     fit.set_defaults(func=_cmd_fit)
 
-    test = sub.add_parser("test", help="portmanteau test of a VAR(p) fit")
+    # the flags test and the studies share, with the library's defaults
+    mc_flags = _Parser(add_help=False)
+    mc_flags.add_argument("--reps", type=int, default=McConfig.replicates)
+    mc_flags.add_argument("--seed", type=int, default=McConfig.master_seed)
+    mc_flags.add_argument("--workers", type=int, default=McConfig.workers)
+    mc_flags.add_argument("--out", default=None, help="output JSON path")
+    study_flags = _Parser(add_help=False, parents=[mc_flags])
+    study_flags.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+
+    test = sub.add_parser("test", parents=[mc_flags], help="portmanteau test of a VAR(p) fit")
     test.add_argument("--input", required=True, help="input CSV path")
     test.add_argument("--order", type=int, required=True)
     test.add_argument("--lags", required=True, help="comma list, e.g. 5,10,15")
     test.add_argument("--stat", choices=sorted(_STAT_NAMES), default="gv")
     test.add_argument("--method", choices=("mc", "chi2"), default="mc")
-    test.add_argument("--reps", type=int, default=199)
-    test.add_argument("--seed", type=int, default=0)
     test.add_argument("--transform", choices=sorted(_TRANSFORMS), default="none")
     test.add_argument("--innovations", choices=("gaussian", "bootstrap"),
                       default="gaussian")
-    test.add_argument("--workers", type=int, default=1)
     test.add_argument("--no-intercept", action="store_true")
-    test.add_argument("--out", default=None, help="output JSON path")
     test.set_defaults(func=_cmd_test)
 
-    size = sub.add_parser("size-study", help="empirical size table")
+    size = sub.add_parser("size-study", parents=[study_flags], help="empirical size table")
     size.add_argument("--phi", default="phi1,phi2,phi3,phi4",
                       help="comma list of catalog VAR(1) models")
     size.add_argument("--n", default="100,200,500")
     size.add_argument("--lags", default="5,10,15,20,25,30")
-    size.add_argument("--trials", type=int, default=500)
-    size.add_argument("--reps", type=int, default=199)
-    size.add_argument("--seed", type=int, default=0)
     size.add_argument("--method", choices=("mc", "chi2", "both"), default="both")
-    size.add_argument("--workers", type=int, default=1)
-    size.add_argument("--out", default=None, help="output JSON path")
     size.set_defaults(func=_cmd_size_study)
 
-    power = sub.add_parser("power-study", help="empirical power table")
+    power = sub.add_parser("power-study", parents=[study_flags], help="empirical power table")
     power.add_argument("--model", default=",".join(f"model{i}" for i in range(1, 9)),
                        help="comma list of catalog models")
     power.add_argument("--fit-order", type=int, default=1)
     power.add_argument("--n", default="50,100,200")
     power.add_argument("--lags", default="5,10,15,20,30")
-    power.add_argument("--trials", type=int, default=500)
-    power.add_argument("--reps", type=int, default=199)
-    power.add_argument("--seed", type=int, default=0)
-    power.add_argument("--workers", type=int, default=1)
-    power.add_argument("--out", default=None, help="output JSON path")
     power.set_defaults(func=_cmd_power_study)
 
     return parser

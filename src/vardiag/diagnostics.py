@@ -94,7 +94,7 @@ class Autocorrelations:
         return len(self.values) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GvDecomposition:
     """Per-lag factorization of the generalized variance.
 

@@ -264,8 +264,12 @@ def evaluate_statistics(residuals, statistics, lags, transform: str = "identity"
     block-Toeplitz correlation matrix is not positive definite.  A stack of
     residual series of shape ``(..., n, k)`` is scored in one pass and gives
     ``(..., statistics, lags)``; there a matrix that is not positive definite
-    raises :class:`NotPositiveDefinite` instead.
+    raises :class:`NotPositiveDefinite` instead.  A name outside ``STATISTICS``
+    or lags that are not ascending positive integers raise ``ValueError``.
     """
+    if not set(statistics) <= set(STATISTICS):
+        raise ValueError(f"statistics must be among {STATISTICS}, got {statistics!r}")
+    lags = _check_lags(lags)
     work = residual_transform(residuals, transform)
     n_eff = work.shape[-2]
     max_lag = max(lags)

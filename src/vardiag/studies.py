@@ -30,7 +30,6 @@ from .montecarlo import (
 from .varma import CATALOG_NAMES, catalog, simulate
 
 DEFAULT_TRIALS = 500
-DEFAULT_REPLICATES = 199
 NOMINAL_LEVEL = 0.05
 
 _SIZE_COLUMNS = ("chi2", "mc")
@@ -191,8 +190,8 @@ def _run_study(kind, columns, order, *, models, ns, lags, trials, replicates,
 
 def size_study(models=("phi1", "phi2", "phi3", "phi4"), ns=(100, 200, 500),
                lags=(5, 10, 15, 20, 25, 30), trials: int = DEFAULT_TRIALS,
-               replicates: int = DEFAULT_REPLICATES, master_seed: int = 0,
-               method: str = "both", workers: int = 1) -> StudyResult:
+               replicates: int = McConfig.replicates, master_seed: int = McConfig.master_seed,
+               method: str = "both", workers: int = McConfig.workers) -> StudyResult:
     """Empirical rejection rate of a nominal-5% test under the null.
 
     Each trial simulates a catalog VAR(1) model, refits a VAR(1), and tests
@@ -217,8 +216,8 @@ def size_study(models=("phi1", "phi2", "phi3", "phi4"), ns=(100, 200, 500),
 
 def power_study(models=tuple(f"model{i}" for i in range(1, 9)), ns=(50, 100, 200),
                 lags=(5, 10, 15, 20, 30), trials: int = DEFAULT_TRIALS,
-                replicates: int = DEFAULT_REPLICATES, master_seed: int = 0,
-                fit_order: int = 1, workers: int = 1) -> StudyResult:
+                replicates: int = McConfig.replicates, master_seed: int = McConfig.master_seed,
+                fit_order: int = 1, workers: int = McConfig.workers) -> StudyResult:
     """Empirical power of nominal-5% Monte-Carlo tests under misspecification.
 
     Each trial simulates a catalog model, fits a (generally wrong) VAR of

@@ -17,10 +17,26 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidModel, UnknownModel
+from .estimate import _check_count
 from .linalg import cholesky_lower
 
 #: Stationarity/invertibility margin: spectral radius must stay below 1 - this.
 STATIONARITY_MARGIN = 1e-6
+
+
+def _matrices(name: str, mats, k: int) -> tuple:
+    """``mats`` as a tuple of finite (k, k) float arrays; ``DimensionMismatch`` otherwise."""
+    try:
+        checked = tuple(np.asarray(m, dtype=float) for m in mats)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(
+            f"{name} must be a sequence of ({k}, {k}) matrices, got {mats!r}") from None
+    for i, m in enumerate(checked, start=1):
+        if m.shape != (k, k):
+            raise DimensionMismatch(f"{name}[{i}] has shape {m.shape}, expected ({k}, {k})")
+        if not np.isfinite(m).all():
+            raise DimensionMismatch(f"{name}[{i}] has non-finite entries")
+    return checked
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,18 +71,12 @@ class VarmaModel:
         if innov_cov.ndim != 2 or innov_cov.shape[0] != innov_cov.shape[1]:
             raise DimensionMismatch("innov_cov must be square")
         k = innov_cov.shape[0]
-        phi = tuple(np.asarray(m, dtype=float) for m in self.phi)
-        theta = tuple(np.asarray(m, dtype=float) for m in self.theta)
-        for name, mats in (("phi", phi), ("theta", theta)):
-            for i, m in enumerate(mats, start=1):
-                if m.shape != (k, k):
-                    raise DimensionMismatch(
-                        f"{name}[{i}] has shape {m.shape}, expected ({k}, {k})")
-                if not np.isfinite(m).all():
-                    raise DimensionMismatch(f"{name}[{i}] has non-finite entries")
+        phi, theta = _matrices("phi", self.phi, k), _matrices("theta", self.theta, k)
         mean = np.zeros(k) if self.mean is None else np.asarray(self.mean, dtype=float)
         if mean.shape != (k,):
             raise DimensionMismatch(f"mean must have length {k}")
+        if not np.isfinite(mean).all():
+            raise DimensionMismatch("mean has non-finite entries")
         if not np.isfinite(innov_cov).all():
             raise DimensionMismatch("innov_cov has non-finite entries")
         # Also establishes positive definiteness.
@@ -134,8 +144,7 @@ def validate_model(model: VarmaModel) -> ModelCheck:
 
 def _impulse_response(ar: tuple, ma: tuple, k: int, count: int) -> list:
     """First ``count`` weights of ar(B)^{-1} ma(B), lag 0 (the identity) first."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    count = _check_count("count", count, 1)
     # path i answers a unit impulse in component i, so it is column i of every weight
     impulses = np.eye(k, count * k).reshape(k, count, k)
     return list(np.moveaxis(innovation_recursion(ar, ma, impulses), 0, -1))
@@ -203,8 +212,7 @@ def simulate(model: VarmaModel, n: int, rng: np.random.Generator) -> np.ndarray:
 
     Returns an (n, k) array.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _check_count("n", n, 1)
     check = validate_model(model)
     if not (check.stationary and check.invertible):
         raise InvalidModel(

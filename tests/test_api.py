@@ -72,6 +72,8 @@ def test_array_holding_dataclasses_compare_by_identity():
         "Autocorrelations": lambda: vd.racf(vd.sample_acov(series, 2), "hosking"),
         "DesignSet": lambda: vd.build_design(vd.catalog("phi1"), 3),
         "CsvTable": lambda: vd.CsvTable(("a", "b"), np.ones((2, 2))),
+        "GvDecomposition": lambda: vd.gv_decompose(
+            vd.racf(vd.sample_acov(np.stack([series, series[::-1]]), 2), "hosking"), 2),
     }
     for name, make in makers.items():
         first, second = make(), make()

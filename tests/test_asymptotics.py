@@ -5,7 +5,10 @@ import pytest
 from scipy import special
 
 from vardiag import (
+    AbParams,
     DegenerateDf,
+    SingularDesign,
+    TraceSums,
     VarmaModel,
     ab_params,
     ab_params_from_traces,
@@ -189,6 +192,29 @@ class TestQPvalue:
     def test_degenerate(self):
         with pytest.raises(DegenerateDf):
             q_pvalue_asymptotic(1.0, 2, 1, 1, 0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: AbParams(0.0, 1.0), DegenerateDf, "must be positive"),
+    (lambda: AbParams(1.0, -0.5), DegenerateDf, "must be positive"),
+    (lambda: ab_params_from_traces(TraceSums(0.0, 1.0)), DegenerateDf, "nonpositive trace"),
+    (lambda: ab_params_from_traces(TraceSums(2.0, -1.0)), DegenerateDf, "nonpositive trace"),
+    (lambda: build_design(np.eye(2), 5), TypeError, "expected VarmaModel or FittedVar"),
+    # equal AR and MA factors cancel, so the AR and MA columns of the design coincide
+    (lambda: build_design(VarmaModel(phi=([[0.5]],), theta=([[0.5]],), innov_cov=[[1.0]]), 5),
+     SingularDesign, "rank deficient"),
+], ids=["ab-a0", "ab-b-neg", "traces-sum0", "traces-sum_sq-neg", "design-array",
+        "design-cancelling-factors"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_edge_statistics():
+    # a rounding-negative gv counts as zero; an infinite statistic is beyond every quantile
+    assert approx_pvalue(-1e-12, ab_params(2, 5, 0, 0)) == 1.0
+    assert chisq_sf(math.inf, 3.0) == 0.0
+    assert q_pvalue_asymptotic(math.inf, 2, 10, 1, 0) == 0.0
 
 
 class TestLeadingOrderIdentity:

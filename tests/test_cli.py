@@ -54,6 +54,26 @@ class TestSimulate:
         assert run(["simulate", "--model", "bogus", "--n", "10", "--seed", "0",
                     "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("payload, message", [
+        ([1, 2], "is not a JSON object"),
+        ({"phi": 5, "innov_cov": [[1.0, 0.0], [0.0, 1.0]]}, "phi must be a sequence of"),
+        ({"phi": None, "innov_cov": [[1.0, 0.0], [0.0, 1.0]]}, "phi must be a sequence of"),
+        ({"phi": [[[0.5, 0.0], [0.0, 0.4]]]}, "innov_cov is required"),
+        ({"innov_cov": [[1.0, 0.0], [0.0, 1.0]], "mean": [1.0, None]}, "mean has non-finite"),
+        ({"phi": [[[0.5, 0.0], [0.0, 0.4]]], "thetas": [[[0.2, 0.0], [0.0, 0.2]]],
+          "innov_cov": [[1.0, 0.0], [0.0, 1.0]]}, "has unknown keys thetas"),
+    ])
+    def test_model_file_that_is_not_a_model_is_data_error(self, payload, message, tmp_path,
+                                                          capsys):
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps(payload))
+        out, meta = tmp_path / "sim.csv", tmp_path / "meta.json"
+        assert run(["simulate", "--model", str(spec), "--n", "30", "--out", str(out),
+                    "--meta", str(meta)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not out.exists() and not meta.exists()
+
 
 class TestFit:
     def test_order_zero_residuals_are_demeaned_input(self, tmp_path, white_csv):
@@ -207,6 +227,16 @@ class TestUsageErrors:
          "--method chi2 needs every lag above --order 1 (m > p), got lag 1"),
         (["--order", "2", "--lags", "1,5"],
          "--method chi2 needs every lag above --order 2 (m > p), got lag 1"),
+        # the Monte-Carlo flags are checked as --method mc checks them
+        (["--order", "1", "--lags", "5", "--reps", "5"], "replicates must be at least 19"),
+        (["--order", "1", "--lags", "5", "--workers", "0"], "workers must be at least 1"),
+        # gv's df b = k^2 (3m(m+1)/(2(2m+1)) - p) is positive from m = 7 at p = 5, m = 11 at p = 8
+        (["--order", "5", "--lags", "6"],
+         "--method chi2 --stat gv has no degrees of freedom at lag 6 for --order 5"),
+        (["--order", "5", "--lags", "6,7"],
+         "--method chi2 --stat gv has no degrees of freedom at lag 6 for --order 5"),
+        (["--order", "8", "--lags", "10"],
+         "--method chi2 --stat gv has no degrees of freedom at lag 10 for --order 8"),
     ])
     def test_chi2_refuses_what_it_cannot_use_before_the_input_is_read(self, flags, message,
                                                                        tmp_path, capsys):
@@ -258,6 +288,16 @@ class TestUsageErrors:
                     *flags, "--out", str(out)]) == 1
         assert f"vardiag test: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("order, lags, stat", [(5, "7", "gv"), (8, "11", "gv"),
+                                                   (5, "6", "q"), (5, "6", "qtilde")])
+    def test_chi2_reads_the_input_once_its_df_is_positive(self, order, lags, stat, tmp_path,
+                                                          capsys):
+        # Q's df k^2 (m - p) is positive at every m > p, so only gv's rule refuses more
+        assert run(["test", "--input", str(tmp_path / "missing.csv"), "--order", str(order),
+                    "--lags", lags, "--stat", stat, "--method", "chi2"]) == 2
+        assert "No such file" in capsys.readouterr().err
 
 
 class TestStudies:

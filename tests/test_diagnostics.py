@@ -418,3 +418,25 @@ class TestResidualTransform:
         for kind in ("square", "abs"):
             out = residual_transform(resid, kind)
             assert np.abs(out.mean(axis=0)).max() < 1e-14
+
+
+def _acov():
+    return sample_acov(np.random.default_rng(20).standard_normal((80, 2)), 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sample_acov(np.ones((80, 2)), 0), ValueError, "m must be at least 1"),
+    (lambda: sample_acov(np.full((80, 2), np.nan), 2), DegenerateResiduals, "non-finite"),
+    (lambda: portmanteau_q(_acov(), 2, "box"), ValueError, "variant must be one of"),
+    (lambda: portmanteau_q(_acov(), 0), ValueError, r"m must be within 1\.\.3, got 0"),
+    (lambda: portmanteau_q(_acov(), 4), ValueError, r"m must be within 1\.\.3, got 4"),
+    (lambda: block_toeplitz(racf(_acov(), "hosking"), -1), ValueError, r"within 0\.\.3"),
+    (lambda: block_toeplitz(racf(_acov(), "hosking"), 4), ValueError, r"within 0\.\.3"),
+    (lambda: gv_stat(racf(_acov(), "li_mcleod"), 2, 80), ValueError, "gv requires hosking"),
+    (lambda: gv_decompose(racf(_acov(), "chitturi"), 2), ValueError, "gv requires hosking"),
+    (lambda: residual_transform(np.ones((5, 2)), "log"), ValueError, "kind must be one of"),
+], ids=["acov-m0", "acov-nan", "q-variant", "q-m0", "q-m4", "toeplitz-m-1", "toeplitz-m4",
+        "gv-li_mcleod", "decompose-chitturi", "transform-kind"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -96,6 +96,28 @@ class TestImpliedMean:
         fit = fit_var(data, 0)
         assert np.abs(implied_mean(fit) - [1.0, 2.0]).max() < 0.5
 
+    def test_without_intercept_is_zero(self):
+        data = simulate(catalog("phi1"), 80, derive_seed(6, 0)) + 5.0
+        assert implied_mean(fit_var(data, 1, with_intercept=False)).tolist() == [0.0, 0.0]
+
+
+class TestSeriesChecks:
+    def test_one_dimensional_series_is_one_column(self):
+        series = np.random.default_rng(7).standard_normal(60)
+        flat, column = fit_var(series, 1), fit_var(series[:, None], 1)
+        assert flat.residuals.shape == (59, 1)
+        assert np.array_equal(flat.residuals, column.residuals)
+
+    @pytest.mark.parametrize("series, message", [
+        (3.0, "series must be an"),
+        (np.ones((0, 2)), "series must be an"),
+        ([[1.0, 2.0], [np.nan, 1.0], [0.0, 3.0], [2.0, 2.0]], "non-finite values"),
+        ([[1.0, np.inf]] * 10, "non-finite values"),
+    ])
+    def test_bad_series_is_refused(self, series, message):
+        with pytest.raises(ValueError, match=message):
+            fit_var(series, 0)
+
 
 def VarmaModelWithMean():
     from vardiag import VarmaModel

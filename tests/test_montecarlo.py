@@ -87,6 +87,11 @@ class TestMarginOfError:
         assert margin_of_error(0.0, 500) == 0.0
         assert margin_of_error(1.0, 500) == 0.0
 
+    @pytest.mark.parametrize("p", [-1e-9, 1.5, math.nan])
+    def test_p_outside_the_unit_interval_is_refused(self, p):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            margin_of_error(p, 500)
+
 
 class TestDeriveSeed:
     def test_same_inputs_same_stream(self):
@@ -249,6 +254,29 @@ class TestEvaluateStatistics:
         via = evaluate_statistics(resid, ("gv",), (3,), transform="square")
         assert abs(direct[0, 0] - via[0, 0]) < 1e-12
 
+    @pytest.mark.parametrize("statistics, lags, message", [
+        (("bogus",), (5,), "statistics must be among"),
+        (("gv", "q"), (5,), "statistics must be among"),
+        ("gv", (5,), "statistics must be among"),
+        (("gv",), (0, 5), "lags must be"),
+        (("gv",), (-1, 5), "lags must be"),
+        (("q_classic",), (5, 3), "lags must be"),
+        (("gv",), (), "lags must be"),
+    ])
+    def test_refuses_what_it_cannot_score(self, statistics, lags, message):
+        resid = derive_seed(5, 0).standard_normal((100, 2))
+        with pytest.raises(ValueError, match=message):
+            evaluate_statistics(resid, statistics, lags)
+
+    def test_mc_pvalues_refuses_an_unknown_statistic_before_any_replicate(self, monkeypatch):
+        def no_replicates(*args):
+            raise AssertionError("replicates ran before the statistics were checked")
+
+        monkeypatch.setattr(mc, "_run_replicates", no_replicates)
+        series = simulate(catalog("phi1"), 80, derive_seed(8, 0))
+        with pytest.raises(ValueError, match="statistics must be among"):
+            mc_pvalues(series, 1, McConfig(replicates=19, lags=(2,)), statistics=("bogus",))
+
 
 class TestMcConfig:
     def test_rejects_small_n(self):
@@ -262,6 +290,15 @@ class TestMcConfig:
     def test_rejects_unknown_statistic(self):
         with pytest.raises(ValueError):
             McConfig(statistic="box")
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("innovations", "student", "innovations must be one of"),
+        ("transform", "none", "transform must be one of"),
+        ("transform", "log", "transform must be one of"),
+    ])
+    def test_rejects_unknown_modes(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            McConfig(**{name: value})
 
     @pytest.mark.parametrize("name, value", [("replicates", 19.5), ("replicates", "199"),
                                              ("workers", 1.5), ("workers", 2.0),

@@ -151,6 +151,15 @@ class TestStudyArguments:
         assert (power_study(fit_order=np.int64(1), **kwargs).to_json()
                 == power_study(fit_order=1, **kwargs).to_json())
 
+    def test_size_study_refuses_an_unknown_method_before_any_trial(self, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("trials ran before the method was checked")
+
+        monkeypatch.setattr(studies, "_pool_map", no_trials)
+        with pytest.raises(ValueError, match="method must be 'mc', 'chi2' or 'both'"):
+            size_study(models=("phi1",), ns=(60,), lags=(3,), trials=2, replicates=19,
+                       method="asymptotic")
+
     @pytest.mark.parametrize("name, orders", [("model1", "VARMA(2, 0)"),
                                               ("model5", "VARMA(0, 1)")])
     def test_size_study_refuses_a_null_that_is_not_var1(self, monkeypatch, name, orders):

@@ -37,6 +37,24 @@ class TestModelConstruction:
         with pytest.raises(DimensionMismatch):
             VarmaModel(innov_cov=np.eye(2), mean=[0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(), "innov_cov is required"),
+        (dict(innov_cov=np.ones((2, 3))), "innov_cov must be square"),
+        (dict(innov_cov=[1.0, 1.0]), "innov_cov must be square"),
+        (dict(innov_cov=[[1.0, np.nan], [np.nan, 1.0]]), "innov_cov has non-finite entries"),
+        (dict(innov_cov=np.eye(2), mean=[1.0, None]), "mean has non-finite entries"),
+        (dict(innov_cov=np.eye(2), phi=(np.full((2, 2), np.inf),)), r"phi\[1\] has non-finite"),
+        (dict(innov_cov=np.eye(2), theta=(np.eye(2), [[np.nan, 0], [0, 0]])),
+         r"theta\[2\] has non-finite"),
+        (dict(innov_cov=np.eye(2), phi=5), "phi must be a sequence of"),
+        (dict(innov_cov=np.eye(2), phi=None), "phi must be a sequence of"),
+        (dict(innov_cov=np.eye(2), theta=("ab",)), "theta must be a sequence of"),
+        (dict(innov_cov=np.eye(2), phi=([[0.5, [0.1]], [0.0, 0.4]],)), "phi must be a sequence of"),
+    ])
+    def test_bad_fields_are_refused_by_name(self, fields, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            VarmaModel(**fields)
+
     def test_innov_cov_must_be_spd(self):
         from vardiag import NotPositiveDefinite
         with pytest.raises(NotPositiveDefinite):
@@ -198,6 +216,24 @@ class TestSimulate:
         data = simulate(catalog("model8"), 37, derive_seed(5, 1))
         assert data.shape == (37, 3)
         assert np.isfinite(data).all()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda model: simulate(model, 0, derive_seed(0, 0)), "n must be at least 1"),
+        (lambda model: simulate(model, 2.5, derive_seed(0, 0)), "n must be an integer"),
+        (lambda model: simulate(model, "5", derive_seed(0, 0)), "n must be an integer"),
+        (lambda model: ma_weights(model, 0), "count must be at least 1"),
+        (lambda model: ma_weights(model, 2.5), "count must be an integer"),
+        (lambda model: inverse_ma_weights(model, -1), "count must be at least 1"),
+    ], ids=["simulate-0", "simulate-float", "simulate-str", "ma-0", "ma-float", "inverse-ma-neg"])
+    def test_counts_are_refused_by_name(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(catalog("model3"))
+
+    def test_numpy_integer_count_is_an_int(self):
+        model = catalog("phi1")
+        assert (simulate(model, np.int64(20), derive_seed(3, 0)).tolist()
+                == simulate(model, 20, derive_seed(3, 0)).tolist())
+        assert len(ma_weights(model, np.int32(4))) == 4
 
 
 class TestInnovationRecursion:
