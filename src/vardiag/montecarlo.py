@@ -27,6 +27,9 @@ At ``workers > 1`` the chunks, and the trials of a study, run on one process
 pool that tests and studies share.  It starts at the first call that needs
 more than one process and lives until the process exits, so it helps only a
 caller that makes repeated pooled calls; a one-off call pays its start-up.
+On glibc its workers keep the heap they free, so a chunk's arrays are not
+handed back to the kernel and faulted in again by the next chunk.  The
+caller's own process keeps its allocator settings, at any worker count.
 """
 
 from __future__ import annotations
@@ -353,18 +356,38 @@ def _one_replicate(plan: _ReplicatePlan, index: int) -> np.ndarray:
         f"replicate {index} failed after {_MAX_ATTEMPTS} attempts: {last_error}")
 
 
-def _replicate_chunk(args) -> list:
+def _replicate_chunk(args) -> np.ndarray:
     """First attempts of replicates start..stop-1, seeded, simulated and scored as one stack.
 
-    A failed stack runs each replicate alone, from attempt 0.
+    Returns one ``(rows, statistics, lags)`` array.  A failed stack runs each
+    replicate alone, from attempt 0.
     """
     plan, start, stop = args
     rngs = _seeded(plan.config.master_seed, start, stop)
     paths = innovation_recursion(plan.fitted.phi_hat, (), _draw_innovations(plan, rngs))
     try:
-        return list(_score_path(plan, paths))
+        return _score_path(plan, paths)
     except _RETRIED:
-        return [_one_replicate(plan, index) for index in range(start, stop)]
+        return np.stack([_one_replicate(plan, index) for index in range(start, stop)])
+
+
+def _keep_freed_heap() -> None:
+    """Pool-worker initializer: on glibc, keep freed arrays in the heap between chunks.
+
+    By default glibc hands a chunk's freed arrays back to the kernel, and the
+    next chunk faults them in again, page by page.  The thresholds set here
+    are the ceilings that glibc's own dynamic rule reaches, so no path length
+    is served worse than by the default.  Other C libraries are left as they are.
+    """
+    import ctypes
+    import platform
+
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays below 32 MiB come from the heap
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB free at the heap top
 
 
 def _forget_pool() -> None:
@@ -412,7 +435,8 @@ def _pool_map(fn, tasks, workers: int) -> list:
             # A multiprocessing child joins its children before that exit hook
             # runs, so shut the pool down first, ahead of the call queue's own
             # finalizer (priority 10) that must still carry the workers' sentinels.
-            _POOL = (workers, ProcessPoolExecutor(max_workers=workers),
+            _POOL = (workers, ProcessPoolExecutor(max_workers=workers,
+                                                  initializer=_keep_freed_heap),
                      Finalize(None, _drop_pool, exitpriority=20))
         try:
             return list(_POOL[1].map(fn, tasks, chunksize=max(1, len(tasks) // (8 * workers))))

@@ -24,6 +24,14 @@ from .linalg import cholesky_lower
 STATIONARITY_MARGIN = 1e-6
 
 
+def _floats(name: str, value, what: str) -> np.ndarray:
+    """``value`` as a float array; ``DimensionMismatch`` naming ``name`` if it is not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{name} must be {what}, got {value!r}") from None
+
+
 def _matrices(name: str, mats, k: int) -> tuple:
     """``mats`` as a tuple of finite (k, k) float arrays; ``DimensionMismatch`` otherwise."""
     try:
@@ -67,12 +75,12 @@ class VarmaModel:
     def __post_init__(self):
         if self.innov_cov is None:
             raise DimensionMismatch("innov_cov is required")
-        innov_cov = np.asarray(self.innov_cov, dtype=float)
+        innov_cov = _floats("innov_cov", self.innov_cov, "a square matrix of numbers")
         if innov_cov.ndim != 2 or innov_cov.shape[0] != innov_cov.shape[1]:
             raise DimensionMismatch("innov_cov must be square")
         k = innov_cov.shape[0]
         phi, theta = _matrices("phi", self.phi, k), _matrices("theta", self.theta, k)
-        mean = np.zeros(k) if self.mean is None else np.asarray(self.mean, dtype=float)
+        mean = np.zeros(k) if self.mean is None else _floats("mean", self.mean, f"{k} numbers")
         if mean.shape != (k,):
             raise DimensionMismatch(f"mean must have length {k}")
         if not np.isfinite(mean).all():

@@ -62,6 +62,7 @@ class TestSimulate:
         ({"innov_cov": [[1.0, 0.0], [0.0, 1.0]], "mean": [1.0, None]}, "mean has non-finite"),
         ({"phi": [[[0.5, 0.0], [0.0, 0.4]]], "thetas": [[[0.2, 0.0], [0.0, 0.2]]],
           "innov_cov": [[1.0, 0.0], [0.0, 1.0]]}, "has unknown keys thetas"),
+        ({"innov_cov": [[1.0, "a"], ["a", 1.0]]}, "innov_cov must be a square matrix of"),
     ])
     def test_model_file_that_is_not_a_model_is_data_error(self, payload, message, tmp_path,
                                                           capsys):

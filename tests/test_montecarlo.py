@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import multiprocessing.util
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -732,9 +733,9 @@ class TestStackedReplicates:
         started = []
 
         class Recording(mc.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 started.append(max_workers)
-                super().__init__(max_workers=max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(mc, "ProcessPoolExecutor", Recording)
         # 40 replicates are one 52-row chunk, run inline; 60 are two chunks
@@ -764,14 +765,18 @@ def cold_pool():
     mc._drop_pool()
 
 
-def _recorded_pools(monkeypatch) -> list:
-    """Patch the executor class to log each start and each finished shutdown."""
+def _recorded_pools(monkeypatch, method=None) -> list:
+    """Patch the executor class to log each start and each finished shutdown.
+
+    Its workers start by ``method``, or by the default start method.
+    """
     events = []
 
     class Recording(mc.ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             events.append(("start", max_workers))
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers,
+                             mp_context=multiprocessing.get_context(method), **kwargs)
 
         def shutdown(self, *args, **kwargs):
             super().shutdown(*args, **kwargs)
@@ -779,6 +784,31 @@ def _recorded_pools(monkeypatch) -> list:
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", Recording)
     return events
+
+
+def _faults_of_chunks(n: int) -> list:
+    """Minor page faults of each of four replicate chunks at length ``n``, after two warm ones.
+
+    The heap can still grow in the second chunk, whose arrays are laid out in
+    the first one's free space.  The cyclic collector is off meanwhile: a
+    collection that empties one of Python's own object arenas returns it to
+    the kernel whatever malloc keeps.
+    """
+    import gc
+    import resource
+
+    plan = _phi1_plan(n=n)
+    rows = mc._chunk_rows(plan)
+    faults = []
+    gc.disable()
+    try:
+        for start in range(1, 1 + 6 * rows, rows):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            mc._replicate_chunk((plan, start, start + rows))
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    finally:
+        gc.enable()
+    return faults[2:]
 
 
 def _exit_worker(_):
@@ -890,6 +920,29 @@ class TestPool:
         assert outcomes == [[[6, 5, 4, 3, 2, 1]] * 4] * 4
         starts = sum(kind == "start" for kind, _ in events)
         assert starts - sum(kind == "shutdown" for kind, _ in events) == 1
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_start_methods_give_the_one_worker_bytes(self, cold_pool, monkeypatch, method):
+        series = simulate(catalog("phi1"), 200, derive_seed(26, 0))
+        config = McConfig(replicates=99, master_seed=27, lags=(2, 5))  # two 52-row chunks
+        study = dict(models=("model3",), ns=(50,), lags=(5,), trials=4, replicates=19)
+        solo = (mc_test(series, 1, config).to_json(),
+                vardiag.power_study(workers=1, **study).to_json())
+        events = _recorded_pools(monkeypatch, method)
+        pooled = (mc_test(series, 1, replace(config, workers=2)).to_json(),
+                  vardiag.power_study(workers=2, **study).to_json())
+        assert pooled == solo
+        assert events == [("start", 2)]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the pool initializer acts on glibc only")
+    def test_pool_workers_keep_their_freed_heap(self, cold_pool, monkeypatch):
+        # spawned workers start from a fresh heap, not from this process's history
+        _recorded_pools(monkeypatch, "spawn")
+        ns = (50, 500, 5000)
+        faults = dict(zip(ns, mc._pool_map(_faults_of_chunks, ns, 2)))
+        # glibc's default returns each chunk's arrays: 283 to 3,164 faults per chunk
+        assert all(f < 32 for chunks in faults.values() for f in chunks), faults
 
     def test_no_pool_worker_outlives_its_process(self):
         script = textwrap.dedent("""

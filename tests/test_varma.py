@@ -50,6 +50,10 @@ class TestModelConstruction:
         (dict(innov_cov=np.eye(2), phi=None), "phi must be a sequence of"),
         (dict(innov_cov=np.eye(2), theta=("ab",)), "theta must be a sequence of"),
         (dict(innov_cov=np.eye(2), phi=([[0.5, [0.1]], [0.0, 0.4]],)), "phi must be a sequence of"),
+        (dict(innov_cov=[[1, "a"], ["a", 1]]), "innov_cov must be a square matrix of numbers"),
+        (dict(innov_cov=[[1, [0]], [0, 1]]), "innov_cov must be a square matrix of numbers"),
+        (dict(innov_cov=np.eye(2), mean=["a", 0]), "mean must be 2 numbers"),
+        (dict(innov_cov=np.eye(2), mean=[[0], 1]), "mean must be 2 numbers"),
     ])
     def test_bad_fields_are_refused_by_name(self, fields, message):
         with pytest.raises(DimensionMismatch, match=message):
