@@ -829,6 +829,20 @@ def _alive(pid: int) -> bool:
     return True
 
 
+def _fresh_interpreter(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this vardiag."""
+    env = {**os.environ, "PYTHONPATH": str(Path(vardiag.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
+def _none_alive_soon(pids) -> bool:
+    deadline = time.monotonic() + 5
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not any(map(_alive, pids))
+
+
 class TestPool:
     def test_back_to_back_tests_share_one_executor(self, cold_pool, monkeypatch):
         events = _recorded_pools(monkeypatch)
@@ -945,7 +959,7 @@ class TestPool:
         assert all(f < 32 for chunks in faults.values() for f in chunks), faults
 
     def test_no_pool_worker_outlives_its_process(self):
-        script = textwrap.dedent("""
+        done = _fresh_interpreter("""
             import multiprocessing
             import vardiag as vd
 
@@ -957,12 +971,48 @@ class TestPool:
             pids |= {p.pid for p in multiprocessing.active_children()}
             print(*sorted(pids))
         """)
-        env = {**os.environ, "PYTHONPATH": str(Path(vardiag.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, timeout=120, env=env, check=True)
+        assert done.returncode == 0, done.stderr
         pids = [int(pid) for pid in done.stdout.split()]
         assert len(pids) == 2, "the test and the study share one two-process pool"
-        deadline = time.monotonic() + 5
-        while any(map(_alive, pids)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not [pid for pid in pids if _alive(pid)]
+        assert _none_alive_soon(pids)
+
+    def test_no_pool_worker_outlives_a_process_that_imports_the_pool_late(self):
+        # the first pooled call imports multiprocessing, so its exit hook registers then
+        done = _fresh_interpreter("""
+            import sys
+            import vardiag as vd
+
+            assert "multiprocessing" not in sys.modules
+            series = vd.simulate(vd.catalog("phi1"), 200, vd.derive_seed(24, 0))
+            vd.mc_test(series, 1, vd.McConfig(master_seed=25, workers=2))
+            import multiprocessing
+            print(*sorted(p.pid for p in multiprocessing.active_children()))
+        """)
+        assert (done.returncode, done.stderr) == (0, "")
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+        assert _none_alive_soon(pids)
+
+    def test_one_process_runs_never_import_the_pool(self):
+        done = _fresh_interpreter("""
+            import json
+            import sys
+            from dataclasses import replace
+            import vardiag as vd
+            import vardiag.cli
+
+            def loaded():
+                return [name for name in ("concurrent.futures", "multiprocessing")
+                        if name in sys.modules]
+
+            series = vd.simulate(vd.catalog("phi1"), 200, vd.derive_seed(28, 0))
+            config = vd.McConfig(master_seed=29, lags=(2, 5))
+            solo = vd.mc_test(series, 1, config).to_json()
+            vd.power_study(models=("model3",), ns=(50,), lags=(5,), trials=4,
+                           replicates=19, workers=1)
+            one_process = loaded()
+            pooled = vd.mc_test(series, 1, replace(config, workers=2)).to_json()
+            print(json.dumps([one_process, loaded(), pooled == solo]))
+        """)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [[], ["concurrent.futures", "multiprocessing"], True]
