@@ -11,6 +11,7 @@ Exit status: 0 success, 1 usage error, 2 data or numeric error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -22,8 +23,9 @@ from .asymptotics import ab_params, approx_pvalue, q_pvalue_asymptotic
 from .csvio import CsvTable, read_csv, write_csv
 from .errors import DegenerateDf, UnknownModel, VardiagError
 from .estimate import fit_var
-from .montecarlo import McConfig, _check_lags, derive_seed, evaluate_statistics, mc_test
-from .studies import DEFAULT_TRIALS, check_study_args, power_study, size_study
+from .montecarlo import (
+    INNOVATION_MODES, McConfig, _check_lags, derive_seed, evaluate_statistics, mc_test)
+from .studies import SIZE_METHODS, check_study_args, power_study, size_study
 from .varma import CATALOG_NAMES, VarmaModel, catalog, simulate
 
 _STAT_NAMES = {"gv": "gv", "q": "q_classic", "qtilde": "q_modified"}
@@ -39,11 +41,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _int_list(text: str, flag: str) -> tuple:
+def _int_list(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"{flag}: expected a comma-separated integer list, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}") from None
+
+
+def _names(text: str) -> tuple:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _parameters(fn) -> dict:
+    """``fn``'s parameters and their defaults, in order."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
 
 
 def _check_flag(args, flag: str, value: int, least: int) -> None:
@@ -62,7 +74,7 @@ def _load_model(spec: str) -> VarmaModel:
         raise UnknownModel(
             f"{spec!r} is neither a catalog name ({', '.join(CATALOG_NAMES)}) "
             "nor a readable model file") from None
-    keys = ("phi", "theta", "innov_cov", "mean")
+    keys = tuple(_parameters(VarmaModel))
     if not isinstance(payload, dict):
         raise UnknownModel(f"model file {spec!r} is not a JSON object with keys among "
                            f"{', '.join(keys)}")
@@ -70,12 +82,7 @@ def _load_model(spec: str) -> VarmaModel:
     if unknown:
         raise UnknownModel(f"model file {spec!r} has unknown keys {', '.join(unknown)}; "
                            f"expected keys among {', '.join(keys)}")
-    return VarmaModel(
-        phi=payload.get("phi", ()),
-        theta=payload.get("theta", ()),
-        innov_cov=payload.get("innov_cov"),
-        mean=payload.get("mean"),
-    )
+    return VarmaModel(**payload)
 
 
 def _cmd_simulate(args) -> tuple:
@@ -131,15 +138,14 @@ def _chi2_rows(fitted, observed, statistic, lags, order):
 
 def _cmd_test(args) -> tuple:
     _check_flag(args, "--order", args.order, 0)
-    lags = _int_list(args.lags, "--lags")
     try:
-        _check_lags(lags)
+        lags = _check_lags(args.lags)
     except ValueError as err:
         raise _UsageError(f"vardiag test: --lags: {err}") from None
     try:
         # both methods take the Monte-Carlo flags, so both check them
         config = McConfig(
-            replicates=args.reps, master_seed=args.seed,
+            replicates=args.replicates, master_seed=args.master_seed,
             innovations=args.innovations, transform=_TRANSFORMS[args.transform],
             statistic=_STAT_NAMES[args.stat], lags=lags, workers=args.workers)
     except ValueError as err:
@@ -174,7 +180,7 @@ def _cmd_test(args) -> tuple:
         for row in report.lags:
             print(f"{row.lag:>5} {row.observed:>14.5f} {row.p_value:>10.4f} "
                   f"{row.margin_of_error:>9.4f} {row.nonpd_replicates:>6}")
-        return args.seed, payload
+        return args.master_seed, payload
     fitted = fit_var(table.values, args.order, with_intercept=with_intercept)
     observed = evaluate_statistics(fitted.residuals, (config.statistic,), lags, config.transform)
     rows = _chi2_rows(fitted, observed, config.statistic, lags, args.order)
@@ -198,31 +204,39 @@ def _cmd_test(args) -> tuple:
     return None, payload
 
 
-def _study_args(args, names: str) -> dict:
-    """The keyword arguments both studies take, checked before any trial runs."""
-    models = tuple(part.strip() for part in names.split(",") if part.strip())
-    ns, lags = _int_list(args.n, "--n"), _int_list(args.lags, "--lags")
+def _cmd_study(args) -> tuple:
+    """Run ``args.study`` on its parameters, read off ``args`` and checked before any trial."""
+    study = {name: getattr(args, name) for name in _parameters(args.study)}
     try:
-        check_study_args(models, args.trials, args.reps, args.workers, lags, ns, args.seed)
+        check_study_args(args.models, args.trials, args.replicates, args.workers, args.lags,
+                         args.ns, args.master_seed)
     except ValueError as err:
         # errors raised by the trials themselves keep their own exit code
         raise _UsageError(f"vardiag {args.command}: {err}") from None
-    return dict(models=models, ns=ns, lags=lags, trials=args.trials, replicates=args.reps,
-                master_seed=args.seed, workers=args.workers)
-
-
-def _cmd_size_study(args) -> tuple:
-    result = size_study(method=args.method, **_study_args(args, args.phi))
+    if "fit_order" in study:
+        _check_flag(args, "--fit-order", args.fit_order, 0)
+    result = args.study(**study)
     print(result.format_table())
-    return args.seed, {"result": result.to_dict()}
+    return args.master_seed, {"result": result.to_dict()}
 
 
-def _cmd_power_study(args) -> tuple:
-    study = _study_args(args, args.model)
-    _check_flag(args, "--fit-order", args.fit_order, 0)
-    result = power_study(fit_order=args.fit_order, **study)
-    print(result.format_table())
-    return args.seed, {"result": result.to_dict()}
+def _add_parser(sub, name: str, help: str, study=None) -> _Parser:
+    """A subcommand with the flags test and the studies share, at McConfig's defaults.
+
+    A study's subcommand also takes --trials, and its flags default to ``study``'s arguments.
+    """
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--reps", dest="replicates", metavar="REPS", type=int,
+                        default=McConfig.replicates)
+    parser.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                        default=McConfig.master_seed)
+    parser.add_argument("--workers", type=int, default=McConfig.workers)
+    parser.add_argument("--out", default=None, help="output JSON path")
+    if study is not None:
+        # set first, so the flags added after it take the study's defaults too
+        parser.set_defaults(func=_cmd_study, study=study, **_parameters(study))
+        parser.add_argument("--trials", type=int)
+    return parser
 
 
 def _build_parser() -> _Parser:
@@ -247,42 +261,30 @@ def _build_parser() -> _Parser:
     fit.add_argument("--out", default=None, help="output JSON path")
     fit.set_defaults(func=_cmd_fit)
 
-    # the flags test and the studies share, with the library's defaults
-    mc_flags = _Parser(add_help=False)
-    mc_flags.add_argument("--reps", type=int, default=McConfig.replicates)
-    mc_flags.add_argument("--seed", type=int, default=McConfig.master_seed)
-    mc_flags.add_argument("--workers", type=int, default=McConfig.workers)
-    mc_flags.add_argument("--out", default=None, help="output JSON path")
-    study_flags = _Parser(add_help=False, parents=[mc_flags])
-    study_flags.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-
-    test = sub.add_parser("test", parents=[mc_flags], help="portmanteau test of a VAR(p) fit")
+    test = _add_parser(sub, "test", "portmanteau test of a VAR(p) fit")
     test.add_argument("--input", required=True, help="input CSV path")
     test.add_argument("--order", type=int, required=True)
-    test.add_argument("--lags", required=True, help="comma list, e.g. 5,10,15")
+    test.add_argument("--lags", required=True, type=_int_list, help="comma list, e.g. 5,10,15")
     test.add_argument("--stat", choices=sorted(_STAT_NAMES), default="gv")
     test.add_argument("--method", choices=("mc", "chi2"), default="mc")
     test.add_argument("--transform", choices=sorted(_TRANSFORMS), default="none")
-    test.add_argument("--innovations", choices=("gaussian", "bootstrap"),
-                      default="gaussian")
+    test.add_argument("--innovations", choices=INNOVATION_MODES, default=McConfig.innovations)
     test.add_argument("--no-intercept", action="store_true")
     test.set_defaults(func=_cmd_test)
 
-    size = sub.add_parser("size-study", parents=[study_flags], help="empirical size table")
-    size.add_argument("--phi", default="phi1,phi2,phi3,phi4",
+    size = _add_parser(sub, "size-study", "empirical size table", size_study)
+    size.add_argument("--phi", dest="models", metavar="PHI", type=_names,
                       help="comma list of catalog VAR(1) models")
-    size.add_argument("--n", default="100,200,500")
-    size.add_argument("--lags", default="5,10,15,20,25,30")
-    size.add_argument("--method", choices=("mc", "chi2", "both"), default="both")
-    size.set_defaults(func=_cmd_size_study)
+    size.add_argument("--n", dest="ns", metavar="N", type=_int_list)
+    size.add_argument("--lags", type=_int_list)
+    size.add_argument("--method", choices=SIZE_METHODS)
 
-    power = sub.add_parser("power-study", parents=[study_flags], help="empirical power table")
-    power.add_argument("--model", default=",".join(f"model{i}" for i in range(1, 9)),
+    power = _add_parser(sub, "power-study", "empirical power table", power_study)
+    power.add_argument("--model", dest="models", metavar="MODEL", type=_names,
                        help="comma list of catalog models")
-    power.add_argument("--fit-order", type=int, default=1)
-    power.add_argument("--n", default="50,100,200")
-    power.add_argument("--lags", default="5,10,15,20,30")
-    power.set_defaults(func=_cmd_power_study)
+    power.add_argument("--fit-order", type=int)
+    power.add_argument("--n", dest="ns", metavar="N", type=_int_list)
+    power.add_argument("--lags", type=_int_list)
 
     return parser
 

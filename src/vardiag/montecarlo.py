@@ -28,7 +28,8 @@ pool that tests and studies share.  It starts at the first call that needs
 more than one process and lives until the process exits, so it helps only a
 caller that makes repeated pooled calls; a one-off call pays its start-up.
 That first call also imports ``concurrent.futures`` and ``multiprocessing``,
-with their exit hooks; ``import vardiag`` and one-process calls load neither.
+in ``_pool_map``, with their exit hooks; ``import vardiag`` and one-process
+calls load neither.
 On glibc its workers keep the heap they free, so a chunk's arrays are not
 handed back to the kernel and faulted in again by the next chunk.  The
 caller's own process keeps its allocator settings, at any worker count.
@@ -40,7 +41,6 @@ import json
 import math
 import operator
 import os
-import sys
 import threading
 from dataclasses import asdict, dataclass
 
@@ -390,17 +390,6 @@ def _keep_freed_heap() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB free at the heap top
 
 
-def __getattr__(name: str):
-    """The process pool's names, imported at first use; a name the module already holds is kept."""
-    if name not in ("ProcessPoolExecutor", "BrokenProcessPool", "Finalize"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    from multiprocessing.util import Finalize
-    for value in (ProcessPoolExecutor, BrokenProcessPool, Finalize):
-        globals().setdefault(value.__name__, value)
-    return globals()[name]
-
-
 def _forget_pool() -> None:
     """Start with no pool and a free lock; also runs in every forked child.
 
@@ -434,27 +423,26 @@ def _pool_map(fn, tasks, workers: int) -> list:
     one forks, so the process never forks while a second pool's manager thread
     runs.  Pooled calls from several threads take turns.  A broken pool is
     dropped and its error raised.  The first pooled call imports the pool's
-    modules, and so registers their exit hooks and ours: ``concurrent.futures``
-    joins the workers when the interpreter exits.
+    modules here, and so registers their exit hooks and ours:
+    ``concurrent.futures`` joins the workers when the interpreter exits.
     """
     global _POOL
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
-    # read through the module, whose __getattr__ imports them, before taking the lock
-    this = sys.modules[__name__]
-    executor, broken, finalize = this.ProcessPoolExecutor, this.BrokenProcessPool, this.Finalize
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing.util import Finalize
     with _POOL_LOCK:
         if _POOL is None or _POOL[0] != workers:
             _drop_pool()
             # A multiprocessing child joins its children before that exit hook
             # runs, so shut the pool down first, ahead of the call queue's own
             # finalizer (priority 10) that must still carry the workers' sentinels.
-            _POOL = (workers, executor(max_workers=workers, initializer=_keep_freed_heap),
-                     finalize(None, _drop_pool, exitpriority=20))
+            _POOL = (workers, ProcessPoolExecutor(workers, initializer=_keep_freed_heap),
+                     Finalize(None, _drop_pool, exitpriority=20))
         try:
             return list(_POOL[1].map(fn, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
-        except broken:
+        except BrokenProcessPool:
             _drop_pool()
             raise
 

@@ -32,7 +32,8 @@ from .varma import CATALOG_NAMES, catalog, simulate
 DEFAULT_TRIALS = 500
 NOMINAL_LEVEL = 0.05
 
-_SIZE_COLUMNS = ("chi2", "mc")
+# The columns of each size-study method, in table order.
+SIZE_METHODS = {"mc": ("mc",), "chi2": ("chi2",), "both": ("chi2", "mc")}
 _POWER_COLUMNS = ("gv", "q_modified")
 # The statistic each Monte-Carlo column scores; ``chi2`` is gv by the approximation.
 _MC_STATISTIC = {"mc": "gv", "gv": "gv", "q_modified": "q_modified"}
@@ -88,10 +89,11 @@ class StudyResult:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def format_table(self) -> str:
+        """The rates as text; ``NA`` marks a lag the m-guard refuses, or chi2 at m <= p."""
         lines = [
             f"{self.kind}  nominal {100 * self.level:g}%  trials={self.trials}"
             f"  replicates={self.replicates}  seed={self.master_seed}",
-            "rates in percent" + ("  (NA: lag refused by the m-guard)" if self.skipped else ""),
+            "rates in percent",
             "",
         ]
         header = f"{'model':<8}{'m':>4}"
@@ -99,14 +101,20 @@ class StudyResult:
             for col in self.columns:
                 header += f"{f'{col}@{n}':>14}"
         lines.append(header)
+        reasons = set()
         for model in self.models:
             for lag in self.lags:
                 row = f"{model:<8}{lag:>4}"
                 for n in self.ns:
                     for col in self.columns:
                         rate = self.rate(model, n, lag, col)
+                        if rate is None:
+                            guarded = (model, n, lag) in self.skipped
+                            reasons.add("lag refused by the m-guard" if guarded
+                                        else "chi2 needs m above the fit order p")
                         row += f"{'NA':>14}" if rate is None else f"{rate:>14.1f}"
                 lines.append(row)
+        lines[1] += f"  (NA: {'; '.join(sorted(reasons))})" if reasons else ""
         return "\n".join(lines)
 
 
@@ -200,16 +208,16 @@ def size_study(models=("phi1", "phi2", "phi3", "phi4"), ns=(100, 200, 500),
     or both.  A model that is not a VAR(1) raises ``InvalidModel`` before
     any trial runs.
     """
-    if method not in ("mc", "chi2", "both"):
-        raise ValueError("method must be 'mc', 'chi2' or 'both'")
+    if method not in SIZE_METHODS:
+        *others, last = map(repr, SIZE_METHODS)
+        raise ValueError(f"method must be {', '.join(others)} or {last}")
     for name in models:
         model = catalog(name)
         if (model.p, model.q) != (1, 0):
             # the refitted VAR(1) is the null, so another model would measure power
             raise InvalidModel(f"size-study needs a VAR(1) model; {name} is a "
                                f"VARMA({model.p}, {model.q})")
-    columns = {"mc": ("mc",), "chi2": ("chi2",), "both": _SIZE_COLUMNS}[method]
-    return _run_study("size-study", columns, 1, models=models, ns=ns, lags=lags,
+    return _run_study("size-study", SIZE_METHODS[method], 1, models=models, ns=ns, lags=lags,
                       trials=trials, replicates=replicates, master_seed=master_seed,
                       workers=workers)
 

@@ -1,10 +1,14 @@
+import functools
+import inspect
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from reference import explosive_series
 
+import vardiag.cli as cli
 import vardiag.studies as studies
 from vardiag import CsvTable, McConfig, __version__, mc_test, read_csv, write_csv
 from vardiag.cli import main
@@ -214,6 +218,21 @@ class TestUsageErrors:
                     "--lags", "3;5"]) == 1
         assert run(["test", "--input", str(white_csv), "--order", "1", "--lags="]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["size-study", "--n", "1;2"],
+        ["power-study", "--n", "1;2"],
+        ["test", "--input", "x.csv", "--order", "1", "--lags", "1;2"],
+    ])
+    def test_malformed_list_names_its_command(self, argv, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("trials ran before the flags were checked")
+
+        monkeypatch.setattr(studies, "_pool_map", no_trials)
+        assert run(argv) == 1
+        flag = argv[argv.index("1;2") - 1]
+        assert capsys.readouterr().err == (f"vardiag {argv[0]}: argument {flag}: expected a "
+                                           "comma-separated integer list, got '1;2'\n")
+
     def test_chi2_refuses_transformed_residuals(self, white_csv, capsys):
         for transform in ("square", "abs"):
             assert run(["test", "--input", str(white_csv), "--order", "1",
@@ -325,6 +344,21 @@ class TestStudies:
         document = json.loads(out.read_text())
         cells = document["result"]["cells"]
         assert {c["column"] for c in cells} == {"gv", "q_modified"}
+
+    @pytest.mark.parametrize("command, study", [("size-study", "size_study"),
+                                                ("power-study", "power_study")])
+    def test_no_grid_flag_runs_the_study_defaults(self, command, study, monkeypatch):
+        real, calls = getattr(studies, study), []
+
+        @functools.wraps(real)
+        def record(**kwargs):
+            calls.append(kwargs)
+            return SimpleNamespace(format_table=str, to_dict=dict)
+
+        monkeypatch.setattr(cli, study, record)
+        assert run([command]) == 0
+        assert calls == [{name: parameter.default for name, parameter
+                          in inspect.signature(real).parameters.items()}]
 
     def test_size_study_skips_guarded_lags(self, capsys):
         code = run(["size-study", "--phi", "phi1", "--n", "30", "--lags", "3,20",

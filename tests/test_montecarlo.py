@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import json
 import math
 import multiprocessing
@@ -732,12 +733,12 @@ class TestStackedReplicates:
                 for reps in (40, 60)}
         started = []
 
-        class Recording(mc.ProcessPoolExecutor):
+        class Recording(concurrent.futures.process.ProcessPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
         # 40 replicates are one 52-row chunk, run inline; 60 are two chunks
         for reps in (40, 60):
             report = mc_test(series, 1, McConfig(replicates=reps, workers=8, **base))
@@ -772,7 +773,7 @@ def _recorded_pools(monkeypatch, method=None) -> list:
     """
     events = []
 
-    class Recording(mc.ProcessPoolExecutor):
+    class Recording(concurrent.futures.process.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             events.append(("start", max_workers))
             super().__init__(max_workers=max_workers,
@@ -782,7 +783,7 @@ def _recorded_pools(monkeypatch, method=None) -> list:
             super().shutdown(*args, **kwargs)
             events.append(("shutdown", self._max_workers))
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
     return events
 
 
@@ -872,12 +873,12 @@ class TestPool:
     def test_batch_size_follows_the_task_count(self, cold_pool, monkeypatch):
         sizes = []
 
-        class Recording(mc.ProcessPoolExecutor):
+        class Recording(concurrent.futures.process.ProcessPoolExecutor):
             def map(self, fn, *iterables, chunksize=1, **kwargs):
                 sizes.append(chunksize)
                 return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
 
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
         # 32 trials on 2 processes go in batches of 2; 4 replicate chunks go one at a time
         vardiag.power_study(models=("model5",), ns=(60,), lags=(3,), trials=32,
                             replicates=19, workers=2)

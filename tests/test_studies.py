@@ -66,6 +66,21 @@ class TestSizeStudy:
         assert result.rate("phi1", 60, 1, "mc") is not None
         assert result.rate("phi1", 60, 3, "chi2") is not None
 
+    @pytest.mark.parametrize("n, lags, legend", [
+        (60, (5,), ""),
+        (60, (1, 5), "  (NA: chi2 needs m above the fit order p)"),
+        (30, (3, 20), "  (NA: lag refused by the m-guard)"),
+        (30, (1, 3, 20),
+         "  (NA: chi2 needs m above the fit order p; lag refused by the m-guard)"),
+    ], ids=["none", "chi2", "guard", "both"])
+    def test_table_gives_the_reason_for_each_kind_of_na(self, n, lags, legend):
+        # at n = 30 the guard refuses lag 20; chi2 has no cell at lag 1 = p
+        result = size_study(models=("phi1",), ns=(n,), lags=lags, trials=2, replicates=19,
+                            method="chi2")
+        lines = result.format_table().splitlines()
+        assert lines[1] == "rates in percent" + legend
+        assert sum(line.split()[-1] == "NA" for line in lines[3:]) == (1 in lags) + (20 in lags)
+
     def test_json_round_trip(self):
         result = size_study(models=("phi2",), ns=(60,), lags=(3,), trials=4,
                             replicates=19, master_seed=3, method="chi2")
