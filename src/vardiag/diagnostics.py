@@ -32,7 +32,7 @@ any series of a stack fails the whole call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,16 +42,39 @@ from .errors import DegenerateResiduals, NotPositiveDefinite
 from .linalg import PIVOT_RTOL, _cross, _diagonal, cholesky_lower, log_det_spd, spd_inverse
 
 RACF_MODES = ("hosking", "li_mcleod", "chitturi")
-# A 256 KiB float budget with two uses: a stack of block-Toeplitz matrices is
-# assembled and factored in row slices of this size, and a Monte-Carlo chunk
-# holds at least this many simulated path floats (see ``montecarlo``).
+# A 256 KiB float budget: a stack of block-Toeplitz matrices is assembled and
+# factored in row slices of this size.  A Monte-Carlo chunk's simulated paths
+# take up to twice as many floats (see ``montecarlo._chunk_rows``).
 _FACTOR_FLOATS = 2 ** 15
 Q_VARIANTS = ("classic", "modified")
 TRANSFORMS = ("identity", "square", "abs")
 
 
+class _LagMatrices:
+    """Lag matrices 0..max_lag held as one ``(..., max_lag + 1, k, k)`` array.
+
+    The constructor takes that array or a sequence of the lags' matrices;
+    ``values`` is then a tuple of views of the array, lag 0 first.
+    """
+
+    def __post_init__(self):
+        stack = self.values
+        if not isinstance(stack, np.ndarray):
+            stack = np.stack(stack, axis=-3)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "values", tuple(np.moveaxis(stack, -3, 0)))
+
+    @property
+    def k(self) -> int:
+        return self._stack.shape[-1]
+
+    @property
+    def max_lag(self) -> int:
+        return self._stack.shape[-3] - 1
+
+
 @dataclass(frozen=True, eq=False)
-class Autocovariances:
+class Autocovariances(_LagMatrices):
     """Sample autocovariance matrices of a residual series, lags 0..max_lag.
 
     Lag l is the biased estimate (normalized by the sample size, not by the
@@ -62,14 +85,7 @@ class Autocovariances:
 
     values: tuple
     n_eff: int
-
-    @property
-    def k(self) -> int:
-        return self.values[0].shape[-1]
-
-    @property
-    def max_lag(self) -> int:
-        return len(self.values) - 1
+    _stack: np.ndarray = field(init=False, repr=False)
 
     @cached_property
     def _g0_inv(self) -> np.ndarray:
@@ -78,20 +94,13 @@ class Autocovariances:
 
 
 @dataclass(frozen=True, eq=False)
-class Autocorrelations:
+class Autocorrelations(_LagMatrices):
     """Residual autocorrelation matrices for one standardization mode."""
 
     mode: str
     values: tuple
     acov: Autocovariances
-
-    @property
-    def k(self) -> int:
-        return self.values[0].shape[-1]
-
-    @property
-    def max_lag(self) -> int:
-        return len(self.values) - 1
+    _stack: np.ndarray = field(init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,10 +147,10 @@ def sample_acov(residuals, m: int) -> Autocovariances:
     if not _lag_fits(n, m, k):
         raise DegenerateResiduals(
             f"need n_eff > (m + 1)*k for lag {m} (n_eff={n}, k={k})")
-    gamma = [_cross(resid, resid) / n]
-    for lag in range(1, m + 1):
-        gamma.append(_cross(resid[..., lag:, :], resid[..., :-lag, :]) / n)
-    acov = Autocovariances(tuple(gamma), n)
+    gamma = np.empty(resid.shape[:-2] + (m + 1, k, k))
+    for lag in range(m + 1):
+        gamma[..., lag, :, :] = _cross(resid[..., lag:, :], resid[..., :n - lag, :]) / n
+    acov = Autocovariances(gamma, n)
     try:
         acov._g0_inv
     except NotPositiveDefinite:
@@ -157,7 +166,7 @@ def racf(acf: Autocovariances, mode: str = "hosking") -> Autocorrelations:
     """
     if mode not in RACF_MODES:
         raise ValueError(f"mode must be one of {RACF_MODES}, got {mode!r}")
-    gamma = np.stack(acf.values, axis=-3)
+    gamma = acf._stack
     if mode == "hosking":
         lhat = cholesky_lower(acf._g0_inv)[..., None, :, :]
         values = _cross(lhat, gamma) @ lhat
@@ -167,13 +176,13 @@ def racf(acf: Autocovariances, mode: str = "hosking") -> Autocorrelations:
     else:  # chitturi
         values = gamma @ acf._g0_inv[..., None, :, :]
         values[..., 0, :, :] = np.eye(acf.k)
-    return Autocorrelations(mode, tuple(np.moveaxis(values, -3, 0)), acf)
+    return Autocorrelations(mode, values, acf)
 
 
 def _q_lag_terms(acf: Autocovariances, m: int) -> np.ndarray:
     """Trace-form per-lag contributions tr(G_l' G0inv G_l G0inv), shape ``(..., m)``."""
     g0_inv = acf._g0_inv[..., None, :, :]
-    g = np.stack(acf.values[1:m + 1], axis=-3)
+    g = acf._stack[..., 1:m + 1, :, :]
     return np.trace(_cross(g, g0_inv) @ g @ g0_inv, axis1=-2, axis2=-1)
 
 
@@ -234,7 +243,7 @@ def block_toeplitz(racfs: Autocorrelations, m: int) -> np.ndarray:
         raise ValueError("block_toeplitz requires hosking-standardized autocorrelations")
     if m < 0 or m > racfs.max_lag:
         raise ValueError(f"m must be within 0..{racfs.max_lag}, got {m}")
-    return _assemble_block_toeplitz(np.stack(racfs.values[:m + 1], axis=-3))
+    return _assemble_block_toeplitz(racfs._stack[..., :m + 1, :, :])
 
 
 def _unit_diagonal_cholesky(t: np.ndarray) -> np.ndarray:
@@ -260,7 +269,7 @@ def _gv_log_steps(racfs: Autocorrelations, m: int) -> np.ndarray:
         raise ValueError("gv requires hosking-standardized autocorrelations")
     if not 1 <= m <= racfs.max_lag:
         raise ValueError(f"m must be within 1..{racfs.max_lag}, got {m}")
-    values = np.stack(racfs.values[:m + 1], axis=-3)
+    values = racfs._stack[..., :m + 1, :, :]
     rows = values.reshape(-1, *values.shape[-3:])
     step = max(1, _FACTOR_FLOATS // ((m + 1) * racfs.k) ** 2)
     row_sums = []
@@ -317,4 +326,9 @@ def residual_transform(residuals, kind: str = "identity") -> np.ndarray:
     if kind == "identity":
         return resid
     work = resid ** 2 if kind == "square" else np.abs(resid)
-    return work - work.mean(axis=-2, keepdims=True)
+    if work.shape[-1] == 1:  # one column: numpy sums each series' rows pairwise
+        return work - work.mean(axis=-2, keepdims=True)
+    # Otherwise numpy adds each series' rows in order, one (series, column) pair at a
+    # time; with the rows leading a contiguous copy, it adds a whole row per step.
+    rows = np.ascontiguousarray(np.moveaxis(work, -2, 0))
+    return work - rows.mean(axis=0)[..., None, :]

@@ -101,12 +101,11 @@ def fit_var(series, p: int, with_intercept: bool = True) -> FittedVar:
         return FittedVar(0, (), intercept, with_intercept, residuals, gamma0)
 
     target = values[..., p:, :]
-    blocks = []
-    if with_intercept:
-        blocks.append(np.ones(values.shape[:-2] + (n - p, 1)))
+    offset = 1 if with_intercept else 0
+    design = np.empty(values.shape[:-2] + (n - p, offset + k * p))
+    design[..., :offset] = 1.0
     for lag in range(1, p + 1):
-        blocks.append(values[..., p - lag:n - lag, :])
-    design = np.concatenate(blocks, axis=-1)
+        design[..., offset + (lag - 1) * k:offset + lag * k] = values[..., p - lag:n - lag, :]
 
     gram = _cross(design, design)
     rhs = _cross(design, target)
@@ -116,11 +115,11 @@ def fit_var(series, p: int, with_intercept: bool = True) -> FittedVar:
         raise SingularDesign(f"regressor Gram matrix is singular: {exc}") from None
     coef = np.linalg.solve(np.swapaxes(lower, -1, -2), np.linalg.solve(lower, rhs))
 
-    offset = 1 if with_intercept else 0
     intercept = coef[..., 0, :] if with_intercept else np.zeros(values.shape[:-2] + (k,))
     phi_hat = tuple(np.swapaxes(coef[..., offset + (lag - 1) * k:offset + lag * k, :], -1, -2)
                     for lag in range(1, p + 1))
-    residuals = target - design @ coef
+    residuals = design @ coef
+    np.subtract(target, residuals, out=residuals)
     gamma0 = _cross(residuals, residuals) / (n - p)
     return FittedVar(p, phi_hat, intercept, with_intercept, residuals, gamma0)
 

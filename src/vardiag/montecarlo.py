@@ -9,24 +9,33 @@ rescores.  The p-value at each lag is the add-one exceedance proportion
 Replicates are seeded individually from a 64-bit mix of (master seed,
 replicate index, attempt), so the report is identical whatever the worker
 count; aggregation is a commutative exceedance count.  A chunk's first
-attempts hash their keys in one vectorised pass, and numpy's ``PCG64`` seeds
-from those words exactly as ``derive_seed`` does; redraws use ``derive_seed``.
+attempts hash their keys in one vectorised pass of numpy's SeedSequence hash,
+whose constants are computed once at import, and numpy's ``PCG64`` seeds from
+those words exactly as ``derive_seed`` does; redraws use ``derive_seed``.
 
 Replicates run in contiguous index chunks of one width: as many rows as fit
-their simulated paths into ``_FACTOR_FLOATS`` floats, and never fewer than
-``_CHUNK``.  A chunk's first attempts are drawn into one buffer, coloured or
+their simulated paths into ``2 * _FACTOR_FLOATS`` floats (512 KiB), and never
+fewer than ``_CHUNK``.  For a bivariate VAR(1) that is one chunk for 199
+replicates of a 50-row series, two (105 + 94 rows) at n = 200 and four at
+n = 500.  A chunk's first attempts are drawn into one buffer, coloured or
 gathered once, simulated by one doubling scan, then refitted and scored as one
 stack: ``fit_var``, ``sample_acov``, ``racf``, the block-Toeplitz Cholesky and
-the Q terms each run once per chunk.  If a numeric error stops the stacked
-scoring, a failed stack runs each replicate alone, from attempt 0: that attempt
-draws the same stream as the replicate's row of the stack, so the retry and
-non-PD rules are those of a single replicate.  Chunk boundaries depend on the
-replicate count and the path shape only, never on the worker count.
+the Q terms each run once per chunk.  For a VAR(1) a chunk holds at most
+three path-sized arrays at once (the draws, the scan's states and its
+products), two once the scan has freed the draws, and it drops its paths once
+the refit has read them.
+If a numeric error stops the stacked scoring, a failed stack runs each
+replicate alone, from attempt 0: that attempt draws the same stream as the
+replicate's row of the stack, so the retry and non-PD rules are those of a
+single replicate.  Chunk boundaries depend on the replicate count and the path
+shape only, never on the worker count.
 
 At ``workers > 1`` the chunks, and the trials of a study, run on one process
-pool that tests and studies share.  It starts at the first call that needs
-more than one process and lives until the process exits, so it helps only a
-caller that makes repeated pooled calls; a one-off call pays its start-up.
+pool that tests and studies share.  A test of one chunk, such as 199
+replicates at n = 50, runs in the calling process at any worker count.  The
+pool starts at the first call that needs more than one process and lives
+until the process exits, so it helps only a caller that makes repeated pooled
+calls; a one-off call pays its start-up.
 That first call also imports ``concurrent.futures`` and ``multiprocessing``,
 in ``_pool_map``, with their exit hooks; ``import vardiag`` and one-process
 calls load neither.
@@ -76,7 +85,7 @@ INNOVATION_MODES = ("gaussian", "bootstrap")
 
 _MAX_ATTEMPTS = 10
 # The fewest replicates simulated and scored as one stack; short series get
-# wider chunks, up to the ``_FACTOR_FLOATS`` path budget (see ``_chunk_rows``).
+# wider chunks, up to the ``2 * _FACTOR_FLOATS`` path budget (see ``_chunk_rows``).
 _CHUNK = 32
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -103,15 +112,27 @@ def derive_seed(master: int, replicate_index: int, attempt: int = 0) -> np.rando
     return np.random.Generator(np.random.PCG64(derive_key(master, replicate_index, attempt)))
 
 
-def _hasher(const: int, mult: int):
-    """numpy SeedSequence's uint32 hash step, starting from ``const``; vectorises over arrays."""
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-    return hashmix
+def _hash_steps(const: int, mult: int, count: int) -> np.ndarray:
+    """The ``(xor, multiply)`` uint32 constants of numpy SeedSequence's next ``count`` hash
+    steps from ``const``, shaped ``(2, count, 1)`` to hash one row of words per step."""
+    steps = []
+    for _ in range(count):
+        steps.append((const, const * mult & _MASK32))
+        const = steps[-1][1]
+    return np.array(steps, dtype=np.uint32).T[..., None]
+
+
+def _hash(words: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash step of each row of ``words`` with that row's constants."""
+    words = (words ^ steps[0]) * steps[1]
+    return words ^ (words >> 16)
+
+
+# A key's pool takes 4 hash steps, then 3 more per source word as it mixes into the
+# other three; drawing the state takes 8 steps of a second sequence.
+_POOL_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_DRAW_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+_OTHER_WORDS = tuple([dst for dst in range(4) if dst != src] for src in range(4))
 
 
 def _seed_words(keys: np.ndarray) -> np.ndarray:
@@ -119,19 +140,17 @@ def _seed_words(keys: np.ndarray) -> np.ndarray:
 
     ``PCG64(key)`` seeds itself from these words.  A key is the entropy words
     ``[lo, hi]`` (a key below 2**32 hashes the same as ``[lo, 0]``), mixed
-    into a pool of 4 words and drawn out as 8.
+    into a pool of 4 words and drawn out as 8.  Every source word mixes into
+    the other three at once: those three mixes read no word they write.
     """
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    zero = np.zeros(keys.shape, np.uint32)
-    pool = [hashmix(word) for word in ((keys & _MASK32).astype(np.uint32),
-                                       (keys >> 32).astype(np.uint32), zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> 16)
-    draw = _hasher(0x8B51F9DD, 0x58F38DED)
-    halves = np.array([draw(pool[i % 4]) for i in range(8)], dtype=np.uint64)
+    pool = np.zeros((4,) + keys.shape, np.uint32)
+    pool[0], pool[1] = keys & _MASK32, keys >> 32
+    pool = _hash(pool, _POOL_STEPS[:, :4])
+    for src, dst in enumerate(_OTHER_WORDS):
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * _hash(
+            pool[src], _POOL_STEPS[:, 4 + 3 * src:7 + 3 * src])
+        pool[dst] = mixed ^ (mixed >> 16)
+    halves = _hash(np.concatenate((pool, pool)), _DRAW_STEPS).astype(np.uint64)
     return halves[0::2] | halves[1::2] << 32
 
 
@@ -326,15 +345,23 @@ def _draw_innovations(plan: _ReplicatePlan, rngs) -> np.ndarray:
     return (noise.reshape(-1, k) @ plan.innov_chol.T).reshape(noise.shape)
 
 
-def _score_path(plan: _ReplicatePlan, path: np.ndarray) -> np.ndarray:
-    """Refit one simulated deviation path, or a stack of them, and score it."""
+def _refit_residuals(plan: _ReplicatePlan, path: np.ndarray) -> np.ndarray:
+    """Residuals of the refit of one simulated deviation path, or of a stack of them."""
     if not np.isfinite(path).all():
         raise NonFinitePath(
             "simulated path is not finite (numerically explosive fitted model)")
-    fitted, config = plan.fitted, plan.config
-    refit = fit_var(path[..., burn_in_length(fitted.order, 0):, :],
-                    fitted.order, fitted.with_intercept)
-    return evaluate_statistics(refit.residuals, plan.statistics, config.lags, config.transform)
+    fitted = plan.fitted
+    return fit_var(path[..., burn_in_length(fitted.order, 0):, :],
+                   fitted.order, fitted.with_intercept).residuals
+
+
+def _score(plan: _ReplicatePlan, residuals: np.ndarray) -> np.ndarray:
+    return evaluate_statistics(residuals, plan.statistics, plan.config.lags, plan.config.transform)
+
+
+def _score_path(plan: _ReplicatePlan, path: np.ndarray) -> np.ndarray:
+    """Refit one simulated deviation path, or a stack of them, and score it."""
+    return _score(plan, _refit_residuals(plan, path))
 
 
 # Numeric failures after which a replicate is redrawn with the next attempt.  A
@@ -363,10 +390,13 @@ def _replicate_chunk(args) -> np.ndarray:
     replicate alone, from attempt 0.
     """
     plan, start, stop = args
-    rngs = _seeded(plan.config.master_seed, start, stop)
-    paths = innovation_recursion(plan.fitted.phi_hat, (), _draw_innovations(plan, rngs))
+    # the generators and the innovations are freed as soon as they are spent
+    paths = innovation_recursion(plan.fitted.phi_hat, (), _draw_innovations(
+        plan, _seeded(plan.config.master_seed, start, stop)))
     try:
-        return _score_path(plan, paths)
+        residuals = _refit_residuals(plan, paths)
+        del paths  # the stack is scored from its residuals alone
+        return _score(plan, residuals)
     except _RETRIED:
         return np.stack([_one_replicate(plan, index) for index in range(start, stop)])
 
@@ -448,8 +478,8 @@ def _pool_map(fn, tasks, workers: int) -> list:
 
 
 def _chunk_rows(plan: _ReplicatePlan) -> int:
-    """Replicates per chunk: paths of ``_FACTOR_FLOATS`` floats, at least ``_CHUNK``."""
-    return max(_CHUNK, _FACTOR_FLOATS // (_path_steps(plan.fitted) * plan.fitted.k))
+    """Replicates per chunk: paths of ``2 * _FACTOR_FLOATS`` floats, at least ``_CHUNK``."""
+    return max(_CHUNK, 2 * _FACTOR_FLOATS // (_path_steps(plan.fitted) * plan.fitted.k))
 
 
 def _run_replicates(plan: _ReplicatePlan, n_reps: int, workers: int) -> list:

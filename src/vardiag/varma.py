@@ -190,17 +190,22 @@ def innovation_recursion(phi: tuple, theta: tuple, innovations: np.ndarray) -> n
     in the companion matrix C, is a doubling scan: the pass with shift s adds
     C^s x_{t-s}.  All states sit time-major in one (kp, steps * paths) array,
     so each of the log2(steps) passes is one product over a block of columns.
+    The result never shares memory with ``innovations``, which are read only.
     """
-    steps, k = innovations.shape[-2:]
-    u = innovations.copy()
+    shape = innovations.shape
+    steps, k = shape[-2:]
+    u = innovations if phi and not theta else innovations.copy()
     for j, coef in enumerate(theta, start=1):
         u[..., j:, :] -= innovations[..., :-j, :] @ coef.T
     if not phi:
         return u
     power = companion_matrix(phi)
-    width = int(np.prod(innovations.shape[:-2]))
+    width = int(np.prod(shape[:-2]))
     states = np.zeros((power.shape[0], steps * width))
     states[:k].reshape(k, steps, width)[...] = u.reshape(width, steps, k).T
+    # The scan reads the states only.  Innovations passed as a temporary belong to
+    # this frame from CPython 3.11 on, and are freed here, before the scan's buffer.
+    del u, innovations
     shifted = np.empty_like(states)  # one buffer reused by every pass
     shift = 1
     while shift < steps:
@@ -208,7 +213,10 @@ def innovation_recursion(phi: tuple, theta: tuple, innovations: np.ndarray) -> n
         np.matmul(power, states[:, :cols], out=shifted[:, :cols])
         states[:, shift * width:] += shifted[:, :cols]
         shift, power = 2 * shift, power @ power
-    return np.ascontiguousarray(states[:k].reshape(k, steps, width).T).reshape(innovations.shape)
+    # a VAR(1)'s products take one path, so their spent buffer takes the result
+    out = shifted.reshape(width, steps, k) if len(phi) == 1 else np.empty((width, steps, k))
+    out[...] = states[:k].reshape(k, steps, width).T
+    return out.reshape(shape)
 
 
 def simulate(model: VarmaModel, n: int, rng: np.random.Generator) -> np.ndarray:

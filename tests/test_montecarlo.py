@@ -509,6 +509,11 @@ def _phi1_plan(innovations="gaussian", n=120):
     return _build_plan(fit_var(series, 1), config, ("gv", "q_modified"))
 
 
+def _chunk_width(series) -> int:
+    """Replicates per chunk for a VAR(1) refit of ``series``; the path shape alone sets it."""
+    return mc._chunk_rows(mc._build_plan(fit_var(series, 1), McConfig(), ("gv",)))
+
+
 def _close_rows(got, expect, rtol=1e-12):
     assert len(got) == len(expect)
     return all(np.all(np.abs(g - e) <= rtol * np.abs(e)) for g, e in zip(got, expect))
@@ -518,14 +523,15 @@ class TestStackedReplicates:
     @pytest.mark.parametrize("replicates", [39, 71])
     @pytest.mark.parametrize("innovations", ["gaussian", "bootstrap"])
     def test_reports_identical_across_workers(self, replicates, innovations):
-        from vardiag.montecarlo import _build_plan, _chunk_rows
-
-        # long enough for 32-row chunks: two or three of them, the last one short
         series = simulate(catalog("phi1"), 400, derive_seed(16, 0))
+        # 39 and 71 are one and two full 32-row chunks and a 7-row tail: the same
+        # layout in chunks of this path length's width, two or three of them
+        rows = _chunk_width(series)
+        full, tail = divmod(replicates, mc._CHUNK)
+        replicates = full * rows + tail
+        assert replicates > rows and replicates % rows != 0
         base = dict(replicates=replicates, master_seed=17, lags=(2, 4),
                     innovations=innovations, statistic="q_modified")
-        rows = _chunk_rows(_build_plan(fit_var(series, 1), McConfig(**base), ("q_modified",)))
-        assert replicates > rows and replicates % rows != 0
         reports = {w: mc_test(series, 1, McConfig(workers=w, **base)).to_json()
                    for w in (1, 2, 3)}
         assert reports[1] == reports[2] == reports[3]
@@ -586,7 +592,9 @@ class TestStackedReplicates:
         import vardiag.montecarlo as mc
 
         plan = _phi1_plan()
-        clean = [mc._one_replicate(plan, i) for i in range(1, 101)]
+        rows = mc._chunk_rows(plan)
+        replicates = rows + 29  # a full chunk, then 29 rows
+        clean = [mc._one_replicate(plan, i) for i in range(1, replicates + 1)]
         original = mc.innovation_recursion
         first, second = (mc._draw_innovations(plan, [derive_seed(plan.config.master_seed, 5, a)])[0]
                          for a in (0, 1))
@@ -605,12 +613,11 @@ class TestStackedReplicates:
             return out
 
         monkeypatch.setattr(mc, "innovation_recursion", overflowing)
-        got = mc._run_replicates(plan, 100, 1)
+        got = mc._run_replicates(plan, replicates, 1)
         assert _close_rows(got[:4] + got[5:], clean[:4] + clean[5:])
         assert _close_rows(got[4:5], [redrawn])
         assert not np.allclose(got[4], clean[4])
-        # n = 120: (110 burn-in + 120) steps x 2 series per path, 2**15 // 460 = 71 rows
-        assert stacks == [71, 29]
+        assert stacks == [rows, 29]
 
     def test_degenerate_row_is_redrawn(self, monkeypatch):
         import vardiag.montecarlo as mc
@@ -683,11 +690,14 @@ class TestStackedReplicates:
         data = simulate(catalog("phi1"), 200, derive_seed(42, 0))
         report = mc_test(data, 1, McConfig(replicates=199, master_seed=7, lags=(5, 30)))
         assert report.lags[1].nonpd_replicates == 0
-        # n = 200: 2**15 // ((110 + 200) * 2) = 52 rows per chunk
-        assert [s[0] for s in shapes[1:]] == [52, 52, 52, 43]
+        rows = _chunk_width(data)
+        assert rows < 199  # more than one chunk
+        assert [s[0] for s in shapes[1:]] == [min(rows, 199 - start)
+                                             for start in range(0, 199, rows)]
 
-    @pytest.mark.parametrize("n, expect", [(50, [102, 97]), (200, [52] * 3 + [43]),
-                                           (500, [32] * 6 + [7])])
+    # 2 * 2**15 // ((110 burn-in + n) steps x 2 series per path) rows per chunk
+    @pytest.mark.parametrize("n, expect", [(50, [199]), (200, [105, 94]),
+                                           (500, [53] * 3 + [40])])
     def test_chunk_width_follows_the_path_length(self, n, expect):
         import vardiag.montecarlo as mc
 
@@ -729,8 +739,9 @@ class TestStackedReplicates:
     def test_pool_starts_at_most_one_process_per_chunk(self, cold_pool, monkeypatch):
         series = simulate(catalog("phi1"), 200, derive_seed(20, 0))
         base = dict(master_seed=21, lags=(2, 5), statistic="gv")
+        rows = _chunk_width(series)
         solo = {reps: mc_test(series, 1, McConfig(replicates=reps, **base)).to_json()
-                for reps in (40, 60)}
+                for reps in (rows, rows + 8)}
         started = []
 
         class Recording(concurrent.futures.process.ProcessPoolExecutor):
@@ -739,8 +750,8 @@ class TestStackedReplicates:
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
-        # 40 replicates are one 52-row chunk, run inline; 60 are two chunks
-        for reps in (40, 60):
+        # one chunk's replicates run inline; eight more make two chunks
+        for reps in (rows, rows + 8):
             report = mc_test(series, 1, McConfig(replicates=reps, workers=8, **base))
             assert report.to_json() == solo[reps]
         assert started == [2]
@@ -879,7 +890,7 @@ class TestPool:
                 return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
-        # 32 trials on 2 processes go in batches of 2; 4 replicate chunks go one at a time
+        # 32 trials on 2 processes go in batches of 2; 2 replicate chunks go one at a time
         vardiag.power_study(models=("model5",), ns=(60,), lags=(3,), trials=32,
                             replicates=19, workers=2)
         series = simulate(catalog("phi1"), 200, derive_seed(22, 0))
@@ -939,7 +950,8 @@ class TestPool:
     @pytest.mark.parametrize("method", ["forkserver", "spawn"])
     def test_start_methods_give_the_one_worker_bytes(self, cold_pool, monkeypatch, method):
         series = simulate(catalog("phi1"), 200, derive_seed(26, 0))
-        config = McConfig(replicates=99, master_seed=27, lags=(2, 5))  # two 52-row chunks
+        config = McConfig(replicates=_chunk_width(series) + 8, master_seed=27,
+                          lags=(2, 5))  # two chunks
         study = dict(models=("model3",), ns=(50,), lags=(5,), trials=4, replicates=19)
         solo = (mc_test(series, 1, config).to_json(),
                 vardiag.power_study(workers=1, **study).to_json())

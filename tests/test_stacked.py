@@ -108,6 +108,31 @@ def test_any_leading_axes():
                   for r in resid.reshape(6, 90, 2)])
 
 
+@pytest.mark.parametrize("kind", ["square", "abs"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_transform_is_bitwise_per_series(kind, k):
+    # 203 rows, not a multiple of the 8 that numpy's pairwise sums unroll
+    resid = _stack(batch=6, n=203, k=k).reshape(2, 3, 203, k)
+    got = residual_transform(resid, kind)
+    assert got.shape == resid.shape and got.flags.c_contiguous
+    for member, series in zip(got.reshape(6, 203, k), resid.reshape(6, 203, k)):
+        assert member.tobytes() == residual_transform(series, kind).tobytes()
+
+
+def test_lags_are_views_of_one_array():
+    acov = sample_acov(_stack(batch=6).reshape(2, 3, 90, 2), 4)
+    for lags in (acov, *(racf(acov, mode) for mode in ("hosking", "li_mcleod", "chitturi"))):
+        assert lags._stack.shape == (2, 3, 5, 2, 2) and (lags.k, lags.max_lag) == (2, 4)
+        assert len(lags.values) == 5
+        for lag, value in enumerate(lags.values):
+            assert np.shares_memory(value, lags._stack)
+            assert np.array_equal(value, lags._stack[..., lag, :, :])
+    # built from the lags' matrices, the array is their stack
+    rebuilt = Autocovariances(tuple(v.copy() for v in acov.values), acov.n_eff)
+    assert np.array_equal(rebuilt._stack, acov._stack)
+    assert all(np.shares_memory(v, rebuilt._stack) for v in rebuilt.values)
+
+
 def test_gv_factors_in_row_slices():
     # at m = 30, k = 2 a slice holds 8 of the 11 members, so there are two slices
     resid = _stack(batch=11, n=200)

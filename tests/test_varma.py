@@ -278,6 +278,19 @@ class TestInnovationRecursion:
                 assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), steps
 
 
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    @pytest.mark.parametrize("phi, theta", [
+        (catalog("phi1").phi, ()), (catalog("model3").phi, catalog("model3").theta),
+        ((), catalog("model5").theta), ((), ())], ids=["var", "varma", "ma", "no-terms"])
+    def test_innovations_are_left_unchanged(self, phi, theta, stack):
+        noise = np.random.default_rng(20).standard_normal(stack + (70, 2))
+        before = noise.tobytes()
+        noise.flags.writeable = False  # a write into the innovations raises
+        got = innovation_recursion(phi, theta, noise)
+        assert noise.tobytes() == before
+        assert got.shape == noise.shape and not np.shares_memory(got, noise)
+
+
 class TestCatalog:
     def test_phi3_coefficients(self):
         model = catalog("phi3")
