@@ -5,22 +5,14 @@ determinant statistic on the block-Toeplitz matrix of residual
 autocorrelations, chi-square approximations, and a deterministic parallel
 Monte-Carlo significance test, plus harnesses for size and power
 experiments.
+
+``import vardiag`` loads only what the Monte-Carlo test needs.  The names of
+``asymptotics``, ``csvio`` and ``studies`` load their module at first use.
 """
 
+import importlib
+
 from ._version import __version__
-from .asymptotics import (
-    AbParams,
-    DesignSet,
-    TraceSums,
-    ab_params,
-    ab_params_from_traces,
-    approx_pvalue,
-    build_design,
-    chisq_sf,
-    lambda_traces,
-    q_pvalue_asymptotic,
-)
-from .csvio import CsvTable, read_csv, write_csv
 from .diagnostics import (
     Autocorrelations,
     Autocovariances,
@@ -61,7 +53,6 @@ from .montecarlo import (
     mc_test,
     p_hat,
 )
-from .studies import StudyCell, StudyResult, power_study, size_study
 from .varma import (
     CATALOG_NAMES,
     ModelCheck,
@@ -93,3 +84,24 @@ __all__ = [
     "CATALOG_NAMES", "ModelCheck", "VarmaModel", "catalog",
     "inverse_ma_weights", "ma_weights", "simulate", "validate_model",
 ]
+
+# The modules an ``mc_test`` caller never needs, by the names they export.
+_LAZY = {
+    **dict.fromkeys(("AbParams", "DesignSet", "TraceSums", "ab_params", "ab_params_from_traces",
+                     "approx_pvalue", "build_design", "chisq_sf", "lambda_traces",
+                     "q_pvalue_asymptotic"), "asymptotics"),
+    **dict.fromkeys(("CsvTable", "read_csv", "write_csv"), "csvio"),
+    **dict.fromkeys(("StudyCell", "StudyResult", "power_study", "size_study"), "studies"),
+}
+
+
+def __getattr__(name: str):
+    """Import the module of a lazily loaded name at its first use and keep the name here."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted(globals().keys() | _LAZY.keys())

@@ -327,8 +327,10 @@ def residual_transform(residuals, kind: str = "identity") -> np.ndarray:
         return resid
     work = resid ** 2 if kind == "square" else np.abs(resid)
     if work.shape[-1] == 1:  # one column: numpy sums each series' rows pairwise
-        return work - work.mean(axis=-2, keepdims=True)
+        work -= work.mean(axis=-2, keepdims=True)
+        return work
     # Otherwise numpy adds each series' rows in order, one (series, column) pair at a
     # time; with the rows leading a contiguous copy, it adds a whole row per step.
     rows = np.ascontiguousarray(np.moveaxis(work, -2, 0))
-    return work - rows.mean(axis=0)[..., None, :]
+    work -= rows.mean(axis=0)[..., None, :]
+    return work

@@ -46,7 +46,6 @@ caller's own process keeps its allocator settings, at any worker count.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import os
@@ -154,7 +153,7 @@ def _seed_words(keys: np.ndarray) -> np.ndarray:
     return halves[0::2] | halves[1::2] << 32
 
 
-@dataclass
+@dataclass(eq=False)
 class _Words(ISeedSequence):
     """A seed sequence whose state is already drawn: one key's ``_seed_words`` for ``PCG64``."""
 
@@ -247,6 +246,8 @@ class TestReport:
         return asdict(self)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
@@ -309,7 +310,7 @@ def evaluate_statistics(residuals, statistics, lags, transform: str = "identity"
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ReplicatePlan:
     """Everything a worker needs to generate and score one replicate.
 
@@ -337,7 +338,7 @@ def _draw_innovations(plan: _ReplicatePlan, rngs) -> np.ndarray:
         idx = np.empty((len(rngs), steps), dtype=np.int64)
         for row, rng in zip(idx, rngs):
             row[:] = rng.integers(0, resid.shape[0], size=steps)
-        return (resid - resid.mean(axis=0))[idx]
+        return np.take(resid - resid.mean(axis=0), idx, axis=0)
     k = plan.innov_chol.shape[0]
     noise = np.empty((len(rngs), steps, k))
     for row, rng in zip(noise, rngs):

@@ -14,7 +14,6 @@ needs hours of CPU.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from itertools import islice
 
@@ -86,6 +85,8 @@ class StudyResult:
         return out
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def format_table(self) -> str:

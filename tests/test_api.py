@@ -75,6 +75,20 @@ def test_array_holding_dataclasses_compare_by_identity():
         "GvDecomposition": lambda: vd.gv_decompose(
             vd.racf(vd.sample_acov(np.stack([series, series[::-1]]), 2), "hosking"), 2),
     }
+    _assert_compared_by_identity(makers)
+
+
+def test_internal_array_holders_compare_by_identity():
+    from vardiag.montecarlo import _build_plan, _seeded
+
+    fitted = vd.fit_var(vd.simulate(vd.catalog("phi1"), 40, vd.derive_seed(1, 0)), 1)
+    _assert_compared_by_identity({
+        "_ReplicatePlan": lambda: _build_plan(fitted, vd.McConfig(), ("gv",)),
+        "_Words": lambda: _seeded(2, 0, 1)[0].bit_generator.seed_seq,
+    })
+
+
+def _assert_compared_by_identity(makers: dict) -> None:
     for name, make in makers.items():
         first, second = make(), make()
         assert type(first).__name__ == name

@@ -1029,3 +1029,32 @@ class TestPool:
         """)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == [[], ["concurrent.futures", "multiprocessing"], True]
+
+
+def test_import_loads_only_the_monte_carlo_path():
+    done = _fresh_interpreter("""
+        import sys
+        import vardiag as vd
+
+        def loaded():
+            return [name for name in ("vardiag.studies", "vardiag.asymptotics", "vardiag.csvio",
+                                      "json", "csv") if name in sys.modules]
+
+        print(loaded())
+        series = vd.simulate(vd.catalog("phi1"), 60, vd.derive_seed(30, 0))
+        vd.mc_test(series, 1, vd.McConfig(replicates=19, master_seed=31, lags=(2,)))
+        print(loaded())
+        vd.power_study
+        print(loaded())
+        names = {}
+        exec("from vardiag import *", names)
+        print([name for name in vd.__all__ if name not in names or name not in dir(vd)])
+        try:
+            vd.no_such_name
+        except AttributeError as error:
+            print(error)
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]", "[]", "['vardiag.studies', 'vardiag.asymptotics']", "[]",
+        "module 'vardiag' has no attribute 'no_such_name'"]
