@@ -30,10 +30,13 @@ replicate's row of the stack, so the retry and non-PD rules are those of a
 single replicate.  Chunk boundaries depend on the replicate count and the path
 shape only, never on the worker count.
 
-At ``workers > 1`` the chunks, and the trials of a study, run on one process
-pool that tests and studies share.  A test of one chunk, such as 199
-replicates at n = 50, runs in the calling process at any worker count.  The
-pool starts at the first call that needs more than one process and lives
+At ``workers > 1`` a test's chunks, and the trials of a study, run on one
+process pool that tests and studies share.  A test gives each process one
+task: a contiguous run of its chunks, scored in index order, the runs' sizes
+within one chunk of each other (four chunks on two processes are two runs of
+two).  Study trials keep ``_pool_map``'s batching.  A test of one chunk, such
+as 199 replicates at n = 50, runs in the calling process at any worker count.
+The pool starts at the first call that needs more than one process and lives
 until the process exits, so it helps only a caller that makes repeated pooled
 calls; a one-off call pays its start-up.
 That first call also imports ``concurrent.futures`` and ``multiprocessing``,
@@ -483,12 +486,23 @@ def _chunk_rows(plan: _ReplicatePlan) -> int:
     return max(_CHUNK, 2 * _FACTOR_FLOATS // (_path_steps(plan.fitted) * plan.fitted.k))
 
 
-def _run_replicates(plan: _ReplicatePlan, n_reps: int, workers: int) -> list:
+def _replicate_run(args) -> np.ndarray:
+    """Rows of one process's run of chunks, each scored by ``_replicate_chunk`` in order."""
+    plan, chunks = args
+    return np.concatenate([_replicate_chunk((plan, start, stop)) for start, stop in chunks])
+
+
+def _run_replicates(plan: _ReplicatePlan, n_reps: int, workers: int) -> np.ndarray:
+    """Statistics of replicates 1..n_reps as one ``(replicates, statistics, lags)`` array."""
     # Chunk boundaries depend on the replicate count and path shape, never on workers.
+    # The runs do depend on workers: one per process, sizes within one chunk, longer first.
     rows = _chunk_rows(plan)
-    jobs = [(plan, start, min(start + rows, n_reps + 1))
-            for start in range(1, n_reps + 1, rows)]
-    return [row for part in _pool_map(_replicate_chunk, jobs, workers) for row in part]
+    chunks = [(start, min(start + rows, n_reps + 1)) for start in range(1, n_reps + 1, rows)]
+    procs = min(workers, len(chunks))
+    size, longer = divmod(len(chunks), procs)
+    cuts = [run * size + min(run, longer) for run in range(procs + 1)]
+    runs = [(plan, chunks[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return np.concatenate(_pool_map(_replicate_run, runs, workers))
 
 
 def _build_plan(fitted: FittedVar, config: McConfig, statistics) -> _ReplicatePlan:
@@ -517,7 +531,7 @@ def mc_pvalues(series, order: int, config: McConfig, statistics=None,
     observed = evaluate_statistics(
         fitted.residuals, statistics, config.lags, config.transform)
     plan = _build_plan(fitted, config, statistics)
-    replicate_stats = np.array(_run_replicates(plan, config.replicates, config.workers))
+    replicate_stats = _run_replicates(plan, config.replicates, config.workers)
 
     exceed = (replicate_stats >= observed).sum(axis=0)
     nonpd = np.isinf(replicate_stats).sum(axis=0)

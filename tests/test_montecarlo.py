@@ -537,6 +537,16 @@ class TestStackedReplicates:
         assert reports[1] == reports[2] == reports[3]
 
     @pytest.mark.parametrize("innovations", ["gaussian", "bootstrap"])
+    def test_replicate_bits_identical_across_workers(self, cold_pool, innovations):
+        # a report holds counts and observed values only, so compare the raw statistics
+        plan = _phi1_plan(innovations, n=500)
+        assert len(range(0, 199, mc._chunk_rows(plan))) == 4
+        solo = mc._run_replicates(plan, 199, 1)
+        assert isinstance(solo, np.ndarray) and solo.shape == (199, 2, 2)
+        for workers in (2, 3, 8):
+            assert np.array_equal(mc._run_replicates(plan, 199, workers), solo), workers
+
+    @pytest.mark.parametrize("innovations", ["gaussian", "bootstrap"])
     def test_chunks_match_one_replicate_at_a_time(self, innovations):
         from vardiag.montecarlo import _one_replicate, _run_replicates
 
@@ -614,7 +624,7 @@ class TestStackedReplicates:
 
         monkeypatch.setattr(mc, "innovation_recursion", overflowing)
         got = mc._run_replicates(plan, replicates, 1)
-        assert _close_rows(got[:4] + got[5:], clean[:4] + clean[5:])
+        assert _close_rows(np.delete(got, 4, axis=0), clean[:4] + clean[5:])
         assert _close_rows(got[4:5], [redrawn])
         assert not np.allclose(got[4], clean[4])
         assert stacks == [rows, 29]
@@ -890,12 +900,36 @@ class TestPool:
                 return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
-        # 32 trials on 2 processes go in batches of 2; 2 replicate chunks go one at a time
+        # 32 trials on 2 processes go in batches of 2; a test's 2 runs, of one
+        # replicate chunk each, go one at a time
         vardiag.power_study(models=("model5",), ns=(60,), lags=(3,), trials=32,
                             replicates=19, workers=2)
         series = simulate(catalog("phi1"), 200, derive_seed(22, 0))
         mc_test(series, 1, McConfig(replicates=199, lags=(2,), workers=2))
         assert sizes == [2, 1]
+
+    def test_a_test_maps_one_run_of_chunks_per_process(self, cold_pool, monkeypatch):
+        mapped = []
+
+        class Recording(concurrent.futures.process.ProcessPoolExecutor):
+            def map(self, fn, tasks, **kwargs):
+                mapped.append(list(tasks))
+                return super().map(fn, mapped[-1], **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
+        series = simulate(catalog("phi1"), 500, derive_seed(28, 0))
+        config = McConfig(replicates=199, master_seed=29, lags=(2, 5))
+        rows = _chunk_width(series)
+        chunks = [(start, min(start + rows, 200)) for start in range(1, 200, rows)]
+        assert len(chunks) == 4
+        solo = mc_test(series, 1, config).to_json()
+        for workers in (2, 3):
+            assert mc_test(series, 1, replace(config, workers=workers)).to_json() == solo
+        assert [len(tasks) for tasks in mapped] == [2, 3]
+        assert [[len(task[1]) for task in tasks] for tasks in mapped] == [[2, 2], [2, 1, 1]]
+        # each run is contiguous, and together they are the chunks in index order
+        for tasks in mapped:
+            assert [chunk for task in tasks for chunk in task[1]] == chunks
 
     def test_broken_pool_raises_once_then_a_fresh_pool_serves(self, cold_pool):
         with pytest.raises(BrokenProcessPool):
