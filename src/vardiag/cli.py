@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(err, file=sys.stderr)
         return 1
-    except (VardiagError, OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+    except (VardiagError, OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

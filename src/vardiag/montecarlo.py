@@ -349,23 +349,16 @@ def _draw_innovations(plan: _ReplicatePlan, rngs) -> np.ndarray:
     return (noise.reshape(-1, k) @ plan.innov_chol.T).reshape(noise.shape)
 
 
-def _refit_residuals(plan: _ReplicatePlan, path: np.ndarray) -> np.ndarray:
-    """Residuals of the refit of one simulated deviation path, or of a stack of them."""
-    if not np.isfinite(path).all():
+def _refit_and_score(plan: _ReplicatePlan, paths: np.ndarray) -> np.ndarray:
+    """Refit one simulated deviation path, or a stack of them, after its burn-in, and score it."""
+    if not np.isfinite(paths).all():
         raise NonFinitePath(
             "simulated path is not finite (numerically explosive fitted model)")
-    fitted = plan.fitted
-    return fit_var(path[..., burn_in_length(fitted.order, 0):, :],
-                   fitted.order, fitted.with_intercept).residuals
-
-
-def _score(plan: _ReplicatePlan, residuals: np.ndarray) -> np.ndarray:
-    return evaluate_statistics(residuals, plan.statistics, plan.config.lags, plan.config.transform)
-
-
-def _score_path(plan: _ReplicatePlan, path: np.ndarray) -> np.ndarray:
-    """Refit one simulated deviation path, or a stack of them, and score it."""
-    return _score(plan, _refit_residuals(plan, path))
+    fitted, config = plan.fitted, plan.config
+    residuals = fit_var(paths[..., burn_in_length(fitted.order, 0):, :],
+                        fitted.order, fitted.with_intercept).residuals
+    del paths  # passed as a temporary, they are freed here from CPython 3.11 on
+    return evaluate_statistics(residuals, plan.statistics, config.lags, config.transform)
 
 
 # Numeric failures after which a replicate is redrawn with the next attempt.  A
@@ -379,28 +372,25 @@ def _one_replicate(plan: _ReplicatePlan, index: int) -> np.ndarray:
     for attempt in range(_MAX_ATTEMPTS):
         rng = derive_seed(plan.config.master_seed, index, attempt)
         try:
-            path = innovation_recursion(plan.fitted.phi_hat, (), _draw_innovations(plan, [rng])[0])
-            return _score_path(plan, path)
+            return _refit_and_score(plan, innovation_recursion(
+                plan.fitted.phi_hat, (), _draw_innovations(plan, [rng])[0]))
         except _RETRIED as err:
             last_error = err
     raise ReplicateFailure(
         f"replicate {index} failed after {_MAX_ATTEMPTS} attempts: {last_error}")
 
 
-def _replicate_chunk(args) -> np.ndarray:
+def _replicate_chunk(plan: _ReplicatePlan, start: int, stop: int) -> np.ndarray:
     """First attempts of replicates start..stop-1, seeded, simulated and scored as one stack.
 
     Returns one ``(rows, statistics, lags)`` array.  A failed stack runs each
     replicate alone, from attempt 0.
     """
-    plan, start, stop = args
-    # the generators and the innovations are freed as soon as they are spent
-    paths = innovation_recursion(plan.fitted.phi_hat, (), _draw_innovations(
-        plan, _seeded(plan.config.master_seed, start, stop)))
+    # the generators, the innovations and the paths are freed as soon as they are spent
     try:
-        residuals = _refit_residuals(plan, paths)
-        del paths  # the stack is scored from its residuals alone
-        return _score(plan, residuals)
+        return _refit_and_score(plan, innovation_recursion(
+            plan.fitted.phi_hat, (), _draw_innovations(
+                plan, _seeded(plan.config.master_seed, start, stop))))
     except _RETRIED:
         return np.stack([_one_replicate(plan, index) for index in range(start, stop)])
 
@@ -453,12 +443,14 @@ def _pool_map(fn, tasks, workers: int) -> list:
 
     Tasks go out one at a time until there are 16 per process, then in about
     eight batches per process.  The pool outlives the call and serves the next
-    one of the same process count.  Another count shuts it down before a new
-    one forks, so the process never forks while a second pool's manager thread
-    runs.  Pooled calls from several threads take turns.  A broken pool is
-    dropped and its error raised.  The first pooled call imports the pool's
-    modules here, and so registers their exit hooks and ours:
-    ``concurrent.futures`` joins the workers when the interpreter exits.
+    one of the same process count, ``min(workers, len(tasks))``: at
+    ``workers=4`` a test's two runs of chunks take two processes and a study's
+    500 trials four, so each of those calls replaces the other's pool.  Another
+    count shuts it down before a new one forks, so the process never forks while
+    a second pool's manager thread runs.  Pooled calls from several threads take
+    turns.  A broken pool is dropped and its error raised.  The first pooled
+    call imports the pool's modules here, and so registers their exit hooks and
+    ours: ``concurrent.futures`` joins the workers when the interpreter exits.
     """
     global _POOL
     workers = min(workers, len(tasks))
@@ -489,7 +481,7 @@ def _chunk_rows(plan: _ReplicatePlan) -> int:
 def _replicate_run(args) -> np.ndarray:
     """Rows of one process's run of chunks, each scored by ``_replicate_chunk`` in order."""
     plan, chunks = args
-    return np.concatenate([_replicate_chunk((plan, start, stop)) for start, stop in chunks])
+    return np.concatenate([_replicate_chunk(plan, start, stop) for start, stop in chunks])
 
 
 def _run_replicates(plan: _ReplicatePlan, n_reps: int, workers: int) -> np.ndarray:

@@ -242,58 +242,34 @@ def simulate(model: VarmaModel, n: int, rng: np.random.Generator) -> np.ndarray:
     return model.mean + path[burn:]
 
 
-def _bivariate_unit_cov() -> np.ndarray:
-    # unit variances with covariance one half
-    return np.array([[1.0, 0.5], [0.5, 1.0]])
-
-
-def _catalog_entries() -> dict:
-    return {
-        "phi1": lambda: VarmaModel(
-            phi=([[0.9, 0.1], [-0.6, 0.4]],),
-            innov_cov=_bivariate_unit_cov()),
-        "phi2": lambda: VarmaModel(
-            phi=([[-1.5, 1.2], [-0.9, 0.5]],),
-            innov_cov=_bivariate_unit_cov()),
-        "phi3": lambda: VarmaModel(
-            phi=([[0.4, 0.1], [-1.0, 0.5]],),
-            innov_cov=_bivariate_unit_cov()),
-        "phi4": lambda: VarmaModel(
-            phi=([[0.3, 0.5], [0.0, 0.3]],),
-            innov_cov=_bivariate_unit_cov()),
-        "model1": lambda: VarmaModel(
-            phi=([[0.5, 0.1], [0.4, 0.5]], [[0.0, 0.0], [0.3, 0.0]]),
-            innov_cov=[[1.0, 0.71], [0.71, 1.0]]),
-        "model2": lambda: VarmaModel(
-            phi=([[0.7, 0.0], [0.0, 0.6]],),
-            theta=([[0.5, 0.6], [-0.7, 0.8]],),
-            innov_cov=[[1.0, 0.71], [0.71, 2.0]]),
-        "model3": lambda: VarmaModel(
-            phi=([[1.2, -0.5], [0.6, 0.3]],),
-            theta=([[-0.6, 0.3], [0.3, 0.6]],),
-            innov_cov=[[1.0, 0.5], [0.5, 1.25]]),
-        "model4": lambda: VarmaModel(
-            phi=([[0.8, -2.0], [0.0, 0.0]],),
-            theta=([[-0.5, 0.0], [0.0, 0.0]],),
-            innov_cov=[[1.0, 0.71], [0.71, 1.0]]),
-        "model5": lambda: VarmaModel(
-            theta=([[0.8, 0.7], [-0.4, 0.6]],),
-            innov_cov=[[4.0, 1.0], [1.0, 2.0]]),
-        "model6": lambda: VarmaModel(
-            theta=([[0.2, 0.3], [-0.6, 1.1]],),
-            innov_cov=[[2.0, 1.0], [1.0, 1.0]]),
-        "model7": lambda: VarmaModel(
-            phi=([[0.5, 0.1], [0.4, 0.5]], [[0.0, 0.0], [0.25, 0.0]]),
-            theta=([[0.6, 0.2], [0.0, 0.3]],),
-            innov_cov=[[1.0, 0.3], [0.3, 1.0]]),
-        "model8": lambda: VarmaModel(
-            phi=([[0.4, 0.3, -0.6], [0.0, 0.8, 0.4], [0.3, 0.0, 0.0]],),
-            theta=([[0.7, 0.0, 0.0], [0.1, 0.2, 0.0], [-0.4, 0.5, -0.1]],),
-            innov_cov=[[1.0, 0.5, 0.4], [0.5, 1.0, 0.7], [0.4, 0.7, 1.0]]),
-    }
-
-
-_CATALOG = _catalog_entries()
+# ``VarmaModel`` keyword arguments of the built-in models, as lists: ``VarmaModel`` copies
+# them into fresh arrays, so no caller's edits reach the next ``catalog()`` call.  The
+# key order is ``CATALOG_NAMES``, from which study trials take their seeds.
+_CATALOG = {
+    "phi1": dict(phi=([[0.9, 0.1], [-0.6, 0.4]],), innov_cov=[[1.0, 0.5], [0.5, 1.0]]),
+    "phi2": dict(phi=([[-1.5, 1.2], [-0.9, 0.5]],), innov_cov=[[1.0, 0.5], [0.5, 1.0]]),
+    "phi3": dict(phi=([[0.4, 0.1], [-1.0, 0.5]],), innov_cov=[[1.0, 0.5], [0.5, 1.0]]),
+    "phi4": dict(phi=([[0.3, 0.5], [0.0, 0.3]],), innov_cov=[[1.0, 0.5], [0.5, 1.0]]),
+    "model1": dict(phi=([[0.5, 0.1], [0.4, 0.5]], [[0.0, 0.0], [0.3, 0.0]]),
+                   innov_cov=[[1.0, 0.71], [0.71, 1.0]]),
+    "model2": dict(phi=([[0.7, 0.0], [0.0, 0.6]],),
+                   theta=([[0.5, 0.6], [-0.7, 0.8]],),
+                   innov_cov=[[1.0, 0.71], [0.71, 2.0]]),
+    "model3": dict(phi=([[1.2, -0.5], [0.6, 0.3]],),
+                   theta=([[-0.6, 0.3], [0.3, 0.6]],),
+                   innov_cov=[[1.0, 0.5], [0.5, 1.25]]),
+    "model4": dict(phi=([[0.8, -2.0], [0.0, 0.0]],),
+                   theta=([[-0.5, 0.0], [0.0, 0.0]],),
+                   innov_cov=[[1.0, 0.71], [0.71, 1.0]]),
+    "model5": dict(theta=([[0.8, 0.7], [-0.4, 0.6]],), innov_cov=[[4.0, 1.0], [1.0, 2.0]]),
+    "model6": dict(theta=([[0.2, 0.3], [-0.6, 1.1]],), innov_cov=[[2.0, 1.0], [1.0, 1.0]]),
+    "model7": dict(phi=([[0.5, 0.1], [0.4, 0.5]], [[0.0, 0.0], [0.25, 0.0]]),
+                   theta=([[0.6, 0.2], [0.0, 0.3]],),
+                   innov_cov=[[1.0, 0.3], [0.3, 1.0]]),
+    "model8": dict(phi=([[0.4, 0.3, -0.6], [0.0, 0.8, 0.4], [0.3, 0.0, 0.0]],),
+                   theta=([[0.7, 0.0, 0.0], [0.1, 0.2, 0.0], [-0.4, 0.5, -0.1]],),
+                   innov_cov=[[1.0, 0.5, 0.4], [0.5, 1.0, 0.7], [0.4, 0.7, 1.0]]),
+}
 
 #: Stable CLI-visible identifiers of the built-in models.
 CATALOG_NAMES = tuple(_CATALOG)
@@ -302,9 +278,9 @@ CATALOG_NAMES = tuple(_CATALOG)
 def catalog(name: str) -> VarmaModel:
     """Return a fresh instance of a built-in model by its stable name."""
     try:
-        builder = _CATALOG[name]
+        spec = _CATALOG[name]
     except KeyError:
         raise UnknownModel(
             f"unknown model {name!r}; choose one of {', '.join(CATALOG_NAMES)}"
         ) from None
-    return builder()
+    return VarmaModel(**spec)

@@ -67,11 +67,12 @@ class TestSimulate:
         ({"phi": [[[0.5, 0.0], [0.0, 0.4]]], "thetas": [[[0.2, 0.0], [0.0, 0.2]]],
           "innov_cov": [[1.0, 0.0], [0.0, 1.0]]}, "has unknown keys thetas"),
         ({"innov_cov": [[1.0, "a"], ["a", 1.0]]}, "innov_cov must be a square matrix of"),
+        ('{"phi": [', "Expecting value"),  # not JSON at all
     ])
     def test_model_file_that_is_not_a_model_is_data_error(self, payload, message, tmp_path,
                                                           capsys):
         spec = tmp_path / "model.json"
-        spec.write_text(json.dumps(payload))
+        spec.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         out, meta = tmp_path / "sim.csv", tmp_path / "meta.json"
         assert run(["simulate", "--model", str(spec), "--n", "30", "--out", str(out),
                     "--meta", str(meta)]) == 2

@@ -574,7 +574,8 @@ class TestStackedReplicates:
 
         # replicate 3's second attempt, simulated and scored by hand
         noise = mc._draw_innovations(plan, [derive_seed(plan.config.master_seed, 3, 1)])[0]
-        redrawn = mc._score_path(plan, mc.innovation_recursion(plan.fitted.phi_hat, (), noise))
+        redrawn = mc._refit_and_score(
+            plan, mc.innovation_recursion(plan.fitted.phi_hat, (), noise))
         monkeypatch.setattr(mc, "fit_var", failing)
         expect = [mc._one_replicate(plan, i) for i in range(1, 40)]
         got = mc._run_replicates(plan, 39, 1)
@@ -608,7 +609,7 @@ class TestStackedReplicates:
         original = mc.innovation_recursion
         first, second = (mc._draw_innovations(plan, [derive_seed(plan.config.master_seed, 5, a)])[0]
                          for a in (0, 1))
-        redrawn = mc._score_path(plan, original(plan.fitted.phi_hat, (), second))
+        redrawn = mc._refit_and_score(plan, original(plan.fitted.phi_hat, (), second))
         stacks = []
 
         def overflowing(phi, theta, innovations):
@@ -639,7 +640,7 @@ class TestStackedReplicates:
             plan, [derive_seed(plan.config.master_seed, 3, a)])[0]) for a in (0, 1))
         # the residuals replicate 3's first attempt refits to
         degenerate = fit_var(first[burn:], plan.fitted.order).residuals
-        redrawn = mc._score_path(plan, second)
+        redrawn = mc._refit_and_score(plan, second)
         original = mc.sample_acov
 
         def failing(residuals, m):
@@ -737,10 +738,10 @@ class TestStackedReplicates:
 
         plan = _phi1_plan(n=n)
         rows = mc._chunk_rows(plan)
-        mc._replicate_chunk((plan, 1, 1 + rows))  # warm numpy's caches first
+        mc._replicate_chunk(plan, 1, 1 + rows)  # warm numpy's caches first
         tracemalloc.start()
         try:
-            mc._replicate_chunk((plan, 1, 1 + rows))
+            mc._replicate_chunk(plan, 1, 1 + rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -826,7 +827,7 @@ def _faults_of_chunks(n: int) -> list:
     try:
         for start in range(1, 1 + 6 * rows, rows):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            mc._replicate_chunk((plan, start, start + rows))
+            mc._replicate_chunk(plan, start, start + rows)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     finally:
         gc.enable()

@@ -316,6 +316,23 @@ class TestCatalog:
         with pytest.raises(UnknownModel):
             catalog("bogus")
 
+    def test_names_keep_their_order(self):
+        # study trials seed from CATALOG_NAMES.index(name)
+        assert CATALOG_NAMES == ("phi1", "phi2", "phi3", "phi4", "model1", "model2", "model3",
+                                 "model4", "model5", "model6", "model7", "model8")
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_edits_to_one_instance_do_not_reach_the_next(self, name):
+        def arrays(model):
+            return (*model.phi, *model.theta, model.innov_cov, model.mean)
+
+        first = catalog(name)
+        expect = [a.copy() for a in arrays(first)]
+        for a in arrays(first):
+            a += 1.0
+        after = arrays(catalog(name))
+        assert all(np.array_equal(a, b) for a, b in zip(after, expect, strict=True))
+
     def test_every_entry_is_valid(self):
         for name in CATALOG_NAMES:
             check = validate_model(catalog(name))
