@@ -42,7 +42,7 @@ class NonFinitePath(VardiagError):
 
 
 class ReplicateFailure(VardiagError):
-    """A Monte-Carlo replicate could not be generated."""
+    """A replicate chunk failed numerically; the message names its rows, seed and cause."""
 
 
 class ParseError(VardiagError):

@@ -7,28 +7,29 @@ rescores.  The p-value at each lag is the add-one exceedance proportion
     p_hat = (#{replicate statistic >= observed} + 1) / (N + 1).
 
 Replicates are seeded individually from a 64-bit mix of (master seed,
-replicate index, attempt), so the report is identical whatever the worker
-count; aggregation is a commutative exceedance count.  A chunk's first
-attempts hash their keys in one vectorised pass of numpy's SeedSequence hash,
-whose constants are computed once at import, and numpy's ``PCG64`` seeds from
-those words exactly as ``derive_seed`` does; redraws use ``derive_seed``.
+replicate index, 0), so the report is identical whatever the worker count;
+aggregation is a commutative exceedance count.  A chunk hashes its
+replicates' keys in one vectorised pass of numpy's SeedSequence hash, whose
+constants are computed once at import, and numpy's ``PCG64`` seeds from those
+words exactly as ``derive_seed(master, index)`` does.
 
 Replicates run in contiguous index chunks of one width: as many rows as fit
 their simulated paths into ``2 * _FACTOR_FLOATS`` floats (512 KiB), and never
 fewer than ``_CHUNK``.  For a bivariate VAR(1) that is one chunk for 199
 replicates of a 50-row series, two (105 + 94 rows) at n = 200 and four at
-n = 500.  A chunk's first attempts are drawn into one buffer, coloured or
+n = 500.  A chunk's replicates are drawn into one buffer, coloured or
 gathered once, simulated by one doubling scan, then refitted and scored as one
 stack: ``fit_var``, ``sample_acov``, ``racf``, the block-Toeplitz Cholesky and
 the Q terms each run once per chunk.  For a VAR(1) a chunk holds at most
 three path-sized arrays at once (the draws, the scan's states and its
 products), two once the scan has freed the draws, and it drops its paths once
-the refit has read them.
-If a numeric error stops the stacked scoring, a failed stack runs each
-replicate alone, from attempt 0: that attempt draws the same stream as the
-replicate's row of the stack, so the retry and non-PD rules are those of a
-single replicate.  Chunk boundaries depend on the replicate count and the path
-shape only, never on the worker count.
+the refit has read them.  Chunk boundaries depend on the replicate count and
+the path shape only, never on the worker count.
+A chunk is scored once, and no replicate is redrawn: a numeric error fails the
+test with ``ReplicateFailure``, naming the chunk's rows, the master seed and
+the cause.  Under a stationary fit it has probability zero with Gaussian
+draws: a replicate's block-Toeplitz matrix is the Gram matrix of its padded
+lag matrix, so it is PD unless that matrix loses column rank.
 
 At ``workers > 1`` a test's chunks, and the trials of a study, run on one
 process pool that tests and studies share.  A test gives each process one
@@ -71,12 +72,11 @@ from .diagnostics import (
     _q_weights,
 )
 from .errors import (
-    DegenerateResiduals,
     InvalidModel,
     NonFinitePath,
     NotPositiveDefinite,
     ReplicateFailure,
-    SingularDesign,
+    VardiagError,
 )
 from .estimate import FittedVar, _check_count, fit_var
 from .linalg import cholesky_lower
@@ -85,7 +85,6 @@ from .varma import burn_in_length, innovation_recursion, polynomial_radius
 STATISTICS = ("gv", "q_classic", "q_modified")
 INNOVATION_MODES = ("gaussian", "bootstrap")
 
-_MAX_ATTEMPTS = 10
 # The fewest replicates simulated and scored as one stack; short series get
 # wider chunks, up to the ``2 * _FACTOR_FLOATS`` path budget (see ``_chunk_rows``).
 _CHUNK = 32
@@ -110,7 +109,7 @@ def derive_key(master: int, *words: int) -> int:
 
 
 def derive_seed(master: int, replicate_index: int, attempt: int = 0) -> np.random.Generator:
-    """Independent generator for one replicate, stable across platforms."""
+    """Independent generator of one replicate, stable across platforms; replicates use attempt 0."""
     return np.random.Generator(np.random.PCG64(derive_key(master, replicate_index, attempt)))
 
 
@@ -271,8 +270,8 @@ def margin_of_error(p: float, n_reps: int) -> float:
 def _gv_row(rs, lags, n_eff: int) -> np.ndarray:
     """gv at each lag from one factor; lag by lag only if the largest is not PD.
 
-    On a stack, a member that is not PD fails the call, and the caller
-    runs each replicate of the stack alone.
+    On a stack, a member that is not PD raises :class:`NotPositiveDefinite`,
+    so a replicate chunk fails the test rather than score ``+inf``.
     """
     try:
         log_steps = _gv_log_steps(rs, max(lags))
@@ -361,38 +360,22 @@ def _refit_and_score(plan: _ReplicatePlan, paths: np.ndarray) -> np.ndarray:
     return evaluate_statistics(residuals, plan.statistics, config.lags, config.transform)
 
 
-# Numeric failures after which a replicate is redrawn with the next attempt.  A
-# replicate's refit has the observed fit's n, p and k, so it is never too short.
-_RETRIED = (SingularDesign, DegenerateResiduals, NotPositiveDefinite, NonFinitePath)
-
-
-def _one_replicate(plan: _ReplicatePlan, index: int) -> np.ndarray:
-    # One path, not a stack of one: a matrix that is not PD then scores +inf, not a redraw.
-    last_error = None
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = derive_seed(plan.config.master_seed, index, attempt)
-        try:
-            return _refit_and_score(plan, innovation_recursion(
-                plan.fitted.phi_hat, (), _draw_innovations(plan, [rng])[0]))
-        except _RETRIED as err:
-            last_error = err
-    raise ReplicateFailure(
-        f"replicate {index} failed after {_MAX_ATTEMPTS} attempts: {last_error}")
-
-
 def _replicate_chunk(plan: _ReplicatePlan, start: int, stop: int) -> np.ndarray:
-    """First attempts of replicates start..stop-1, seeded, simulated and scored as one stack.
+    """Replicates start..stop-1, seeded, simulated and scored once, as one stack.
 
-    Returns one ``(rows, statistics, lags)`` array.  A failed stack runs each
-    replicate alone, from attempt 0.
+    Returns one ``(rows, statistics, lags)`` array.  A numeric failure of the
+    stack raises :class:`ReplicateFailure` from its cause, naming the rows and
+    the master seed; a ``ValueError`` passes through as it is.
     """
     # the generators, the innovations and the paths are freed as soon as they are spent
     try:
         return _refit_and_score(plan, innovation_recursion(
             plan.fitted.phi_hat, (), _draw_innovations(
                 plan, _seeded(plan.config.master_seed, start, stop))))
-    except _RETRIED:
-        return np.stack([_one_replicate(plan, index) for index in range(start, stop)])
+    except VardiagError as err:
+        raise ReplicateFailure(
+            f"replicates {start}..{stop - 1} of master seed {plan.config.master_seed} "
+            f"failed: {type(err).__name__}: {err}") from err
 
 
 def _keep_freed_heap() -> None:
@@ -516,6 +499,7 @@ def mc_pvalues(series, order: int, config: McConfig, statistics=None,
     against it (defaults to the single statistic in ``config``).  Returns
     ``(fitted, observed, p_values, exceedances, nonpd_counts)`` where the
     array-valued entries have one row per statistic and one column per lag.
+    ``nonpd_counts`` reads 0, because a replicate stack that is not PD fails the test.
     """
     if statistics is None:
         statistics = (config.statistic,)

@@ -22,7 +22,7 @@ import numpy as np
 from ._version import __version__
 from .asymptotics import ab_params, approx_pvalue
 from .diagnostics import _lag_fits
-from .errors import InvalidModel
+from .errors import InvalidModel, ReplicateFailure
 from .estimate import _check_count, fit_var
 from .montecarlo import (
     McConfig, _pool_map, derive_key, derive_seed, evaluate_statistics, mc_pvalues)
@@ -132,7 +132,10 @@ def _trial(args) -> np.ndarray:
     statistics = tuple(_MC_STATISTIC[column] for column in columns if column != "chi2")
     if statistics:
         config = McConfig(replicates=replicates, master_seed=derive_key(*words, 1), lags=lags)
-        _, observed, pvals, _, _ = mc_pvalues(series, order, config, statistics=statistics)
+        try:
+            _, observed, pvals, _, _ = mc_pvalues(series, order, config, statistics=statistics)
+        except ReplicateFailure as err:  # the test's seed is a hash, so name the trial
+            raise ReplicateFailure(f"{name}, n={n}, trial {trial}: {err}") from err
     else:
         statistics = ("gv",)
         observed = evaluate_statistics(fit_var(series, order).residuals, statistics, lags)

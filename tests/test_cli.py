@@ -167,6 +167,24 @@ class TestTest:
         assert code == 2
         assert "radius 1.05296" in capsys.readouterr().err
 
+    def test_replicate_failure_is_data_error(self, tmp_path, white_csv, capsys, monkeypatch):
+        import vardiag.montecarlo as mc
+
+        original = mc._gv_log_steps
+
+        def stack_fails(rs, m):
+            if rs.values[0].ndim > 2:
+                raise mc.NotPositiveDefinite("forced failure")
+            return original(rs, m)
+
+        monkeypatch.setattr(mc, "_gv_log_steps", stack_fails)
+        out = tmp_path / "x.json"
+        assert run(["test", "--input", str(white_csv), "--order", "1", "--lags", "3",
+                    "--reps", "19", "--seed", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: replicates 1..19 of master seed 4 failed: "
+                                           "NotPositiveDefinite: forced failure\n")
+        assert not out.exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = run(["test", "--input", str(tmp_path / "nope.csv"),
                     "--order", "1", "--lags", "3"])

@@ -20,6 +20,7 @@ from reference import explosive_series, persistent_series
 
 import vardiag
 import vardiag.montecarlo as mc
+from vardiag.errors import NonFinitePath
 
 from vardiag import (
     Autocorrelations,
@@ -362,14 +363,14 @@ class TestMcTest:
         assert solo.to_json() == quad.to_json()
 
     def test_counts_match_manual_replicates(self):
-        from vardiag.montecarlo import _build_plan, _one_replicate
+        from vardiag.montecarlo import _build_plan
 
         series = simulate(catalog("phi4"), 100, derive_seed(8, 0))
         config = McConfig(replicates=19, master_seed=11, lags=(3,))
         report = mc_test(series, 1, config)
         fitted = fit_var(series, 1)
         plan = _build_plan(fitted, config, ("gv",))
-        stats = [_one_replicate(plan, i)[0, 0] for i in range(1, 20)]
+        stats = [_lone_replicate(plan, i)[0, 0] for i in range(1, 20)]
         manual = sum(s >= report.lags[0].observed for s in stats)
         assert manual == report.lags[0].exceedances
         # exchangeability: aggregation is a pure count, order free
@@ -405,7 +406,7 @@ class TestMcTest:
             path = mc.innovation_recursion(fitted.phi_hat, (), noise)[burn:]
             refit = fit_var(path, 1, with_intercept=False)
             expect = evaluate_statistics(refit.residuals, ("gv", "q_modified"), (2, 5))
-            assert mc._one_replicate(plan, index).tobytes() == expect.tobytes()
+            assert _lone_replicate(plan, index).tobytes() == expect.tobytes()
             assert _close_rows([stacked[index - 1]], [expect])
 
     def test_fit_order_is_checked_like_a_count(self):
@@ -462,28 +463,6 @@ class TestMcTest:
         report = mc_test(series, 1, McConfig(replicates=19, lags=(3,)))
         assert 0.0 < report.lags[0].p_value <= 1.0
 
-    def test_replicate_failure_after_retries(self, monkeypatch):
-        import vardiag.montecarlo as mc
-
-        series = simulate(catalog("phi1"), 100, derive_seed(12, 0))
-        config = McConfig(replicates=19, master_seed=8, lags=(2,))
-        original = mc.fit_var
-
-        def failing(series, order, with_intercept=True):
-            if getattr(failing, "armed", False):
-                raise SingularDesign("forced failure")
-            return original(series, order, with_intercept)
-
-        monkeypatch.setattr(mc, "fit_var", failing)
-        failing.armed = False
-        fitted = original(series, 1)  # observed fit computed up front
-        failing.armed = True
-        from vardiag.montecarlo import _build_plan, _one_replicate
-
-        plan = _build_plan(fitted, config, ("gv",))
-        with pytest.raises(ReplicateFailure):
-            _one_replicate(plan, 1)
-
 
 class TestSharedReplicates:
     def test_two_statistics_one_replicate_set(self):
@@ -519,6 +498,37 @@ def _close_rows(got, expect, rtol=1e-12):
     return all(np.all(np.abs(g - e) <= rtol * np.abs(e)) for g, e in zip(got, expect))
 
 
+def _lone_replicate(plan, index):
+    """Replicate ``index`` alone: one 2-D path from ``derive_seed(master, index, 0)``, scanned,
+    refitted and scored, so a stack's row is checked against a lone path, not a stack of one."""
+    noise = mc._draw_innovations(plan, [derive_seed(plan.config.master_seed, index, 0)])[0]
+    return mc._refit_and_score(plan, mc.innovation_recursion(plan.fitted.phi_hat, (), noise))
+
+
+def _fail_stacks_of(monkeypatch, rows, cause):
+    """Make a stack of ``rows`` replicates fail by ``cause`` in the layer that raises it.
+
+    Returns the row counts of the stacks that reach that layer, in order.
+    """
+    name, stack = {SingularDesign: ("fit_var", lambda series, *_: series),
+                   DegenerateResiduals: ("sample_acov", lambda residuals, *_: residuals),
+                   NotPositiveDefinite: ("_gv_log_steps", lambda rs, *_: rs.values[0]),
+                   NonFinitePath: ("innovation_recursion", lambda *args: args[-1])}[cause]
+    original, seen = getattr(mc, name), []
+
+    def patched(*args):
+        seen.append(len(stack(*args)))
+        out = original(*args)
+        if seen[-1] == rows:
+            if cause is not NonFinitePath:
+                raise cause("forced failure")
+            out[..., -1, 0] = np.inf  # the paths overflow; the refit step refuses them
+        return out
+
+    monkeypatch.setattr(mc, name, patched)
+    return seen
+
+
 class TestStackedReplicates:
     @pytest.mark.parametrize("replicates", [39, 71])
     @pytest.mark.parametrize("innovations", ["gaussian", "bootstrap"])
@@ -548,43 +558,13 @@ class TestStackedReplicates:
 
     @pytest.mark.parametrize("innovations", ["gaussian", "bootstrap"])
     def test_chunks_match_one_replicate_at_a_time(self, innovations):
-        from vardiag.montecarlo import _one_replicate, _run_replicates
+        from vardiag.montecarlo import _run_replicates
 
         plan = _phi1_plan(innovations)
-        expect = [_one_replicate(plan, i) for i in range(1, 40)]
+        expect = [_lone_replicate(plan, i) for i in range(1, 40)]
         assert _close_rows(_run_replicates(plan, 39, 1), expect)
 
-    def test_failed_row_is_redrawn_alone(self, monkeypatch):
-        import vardiag.montecarlo as mc
-
-        plan = _phi1_plan()
-        clean = [mc._one_replicate(plan, i) for i in range(1, 40)]
-        # the series replicate 3 simulates on its first attempt
-        noise = mc._draw_innovations(plan, [derive_seed(plan.config.master_seed, 3, 0)])[0]
-        burn = mc.burn_in_length(plan.fitted.order, 0)
-        first = mc.innovation_recursion(plan.fitted.phi_hat, (), noise)[burn:]
-        original = mc.fit_var
-
-        def failing(series, order, with_intercept=True):
-            # a stack fails when any of its series is replicate 3's first attempt
-            rows = np.reshape(series, (-1,) + first.shape)
-            if any(np.allclose(row, first, rtol=1e-10, atol=0) for row in rows):
-                raise SingularDesign("forced failure")
-            return original(series, order, with_intercept)
-
-        # replicate 3's second attempt, simulated and scored by hand
-        noise = mc._draw_innovations(plan, [derive_seed(plan.config.master_seed, 3, 1)])[0]
-        redrawn = mc._refit_and_score(
-            plan, mc.innovation_recursion(plan.fitted.phi_hat, (), noise))
-        monkeypatch.setattr(mc, "fit_var", failing)
-        expect = [mc._one_replicate(plan, i) for i in range(1, 40)]
-        got = mc._run_replicates(plan, 39, 1)
-        assert _close_rows(got, expect)
-        assert _close_rows(got[3:], clean[3:]) and _close_rows(got[:2], clean[:2])
-        assert _close_rows(got[2:3], [redrawn])
-        assert not np.allclose(got[2], clean[2])
-
-    def test_value_error_in_scoring_is_not_retried(self, monkeypatch):
+    def test_value_error_in_scoring_is_not_wrapped(self, monkeypatch):
         import vardiag.montecarlo as mc
 
         plan = _phi1_plan()
@@ -599,93 +579,21 @@ class TestStackedReplicates:
             mc._run_replicates(plan, 39, 1)
         assert len(calls) == 1
 
-    def test_non_finite_row_is_redrawn(self, monkeypatch):
-        import vardiag.montecarlo as mc
-
+    @pytest.mark.parametrize("cause", [SingularDesign, DegenerateResiduals,
+                                       NotPositiveDefinite, NonFinitePath])
+    def test_failed_chunk_fails_the_test_naming_its_rows(self, monkeypatch, cause):
         plan = _phi1_plan()
         rows = mc._chunk_rows(plan)
-        replicates = rows + 29  # a full chunk, then 29 rows
-        clean = [mc._one_replicate(plan, i) for i in range(1, replicates + 1)]
-        original = mc.innovation_recursion
-        first, second = (mc._draw_innovations(plan, [derive_seed(plan.config.master_seed, 5, a)])[0]
-                         for a in (0, 1))
-        redrawn = mc._refit_and_score(plan, original(plan.fitted.phi_hat, (), second))
-        stacks = []
-
-        def overflowing(phi, theta, innovations):
-            out = original(phi, theta, innovations)
-            if out.ndim == 3:
-                stacks.append(out.shape[0])
-            # replicate 5's first attempt overflows, in a stack or alone
-            rows = np.reshape(innovations, (-1,) + first.shape)
-            for row, path in zip(rows, np.reshape(out, rows.shape)):
-                if np.allclose(row, first, rtol=1e-12, atol=0):
-                    path[-1, 0] = np.inf
-            return out
-
-        monkeypatch.setattr(mc, "innovation_recursion", overflowing)
-        got = mc._run_replicates(plan, replicates, 1)
-        assert _close_rows(np.delete(got, 4, axis=0), clean[:4] + clean[5:])
-        assert _close_rows(got[4:5], [redrawn])
-        assert not np.allclose(got[4], clean[4])
-        assert stacks == [rows, 29]
-
-    def test_degenerate_row_is_redrawn(self, monkeypatch):
-        import vardiag.montecarlo as mc
-
-        plan = _phi1_plan()
-        clean = [mc._one_replicate(plan, i) for i in range(1, 40)]
-        burn = mc.burn_in_length(plan.fitted.order, 0)
-        first, second = (mc.innovation_recursion(plan.fitted.phi_hat, (), mc._draw_innovations(
-            plan, [derive_seed(plan.config.master_seed, 3, a)])[0]) for a in (0, 1))
-        # the residuals replicate 3's first attempt refits to
-        degenerate = fit_var(first[burn:], plan.fitted.order).residuals
-        redrawn = mc._refit_and_score(plan, second)
-        original = mc.sample_acov
-
-        def failing(residuals, m):
-            rows = np.reshape(residuals, (-1,) + degenerate.shape)
-            if any(np.allclose(row, degenerate, rtol=1e-10, atol=1e-12) for row in rows):
-                raise DegenerateResiduals("forced failure")
-            return original(residuals, m)
-
-        monkeypatch.setattr(mc, "sample_acov", failing)
-        got = mc._run_replicates(plan, 39, 1)
-        assert _close_rows(got[3:], clean[3:]) and _close_rows(got[:2], clean[:2])
-        assert _close_rows(got[2:3], [redrawn])
-        assert not np.allclose(got[2], clean[2])
-
-    def test_non_pd_stack_is_rescored_without_redraws(self, monkeypatch):
-        import vardiag.montecarlo as mc
-
-        plan = _phi1_plan()
-        clean = [mc._one_replicate(plan, i) for i in range(1, 40)]
-        original_log_steps = mc._gv_log_steps
-        original_seeded = mc._seeded
-        seeded = []
-
-        def stack_fails(rs, m):
-            if rs.values[0].ndim > 2:
-                raise NotPositiveDefinite("forced failure of a stack")
-            return original_log_steps(rs, m)
-
-        def recording(master, start, stop):
-            seeded.extend(range(start, stop))
-            return original_seeded(master, start, stop)
-
-        original_derive_seed = mc.derive_seed
-
-        def no_redraw(master, index, attempt=0):
-            # each replicate runs alone from its first attempt; a stack of one would redraw
-            if attempt:
-                raise AssertionError(f"replicate {index} was redrawn (attempt {attempt})")
-            return original_derive_seed(master, index, attempt)
-
-        monkeypatch.setattr(mc, "_gv_log_steps", stack_fails)
-        monkeypatch.setattr(mc, "_seeded", recording)
-        monkeypatch.setattr(mc, "derive_seed", no_redraw)
-        assert _close_rows(mc._run_replicates(plan, 39, 1), clean)
-        assert seeded == list(range(1, 40))
+        seen = _fail_stacks_of(monkeypatch, 29, cause)
+        with pytest.raises(ReplicateFailure) as info:
+            mc._run_replicates(plan, rows + 29, 1)  # a full chunk, then 29 rows
+        assert seen == [rows, 29]  # the first chunk is scored, the second fails, nothing reruns
+        error = info.value.__cause__
+        assert type(error) is cause
+        assert str(info.value) == (f"replicates {rows + 1}..{rows + 29} of master seed "
+                                   f"{plan.config.master_seed} failed: {cause.__name__}: {error}")
+        assert str(error) == ("forced failure" if cause is not NonFinitePath else
+                              "simulated path is not finite (numerically explosive fitted model)")
 
     def test_each_chunk_is_refitted_once(self, monkeypatch):
         import vardiag.montecarlo as mc
@@ -776,7 +684,8 @@ class TestStackedReplicates:
         plan = dataclasses.replace(
             plan, fitted=dataclasses.replace(plan.fitted, phi_hat=(40.0 * np.eye(2),)))
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ReplicateFailure, match="not finite"):
+                pytest.raises(ReplicateFailure, match=r"^replicates 1\.\.19 of master seed 15 "
+                              r"failed: NonFinitePath: .*not finite"):
             _run_replicates(plan, 19, 1)
 
 

@@ -14,7 +14,10 @@ agree to rounding.
 The generalized variance factors its block-Toeplitz stacks without
 ``cholesky_lower``'s general-input checks.  Those matrices are exactly
 symmetric with a unit diagonal, so the short route gives the same factor and
-refuses the same stacks.
+refuses the same stacks.  The block-Toeplitz matrix of any residuals is the
+Gram matrix Z'Z/n of their hosking-whitened, zero-padded lag matrix Z, so it
+is positive semi-definite, and singular only if Z loses column rank: that is
+why a replicate's gv cannot fail unless its residuals do.
 
 A chunk's first attempts are seeded in one pass; their generators hold
 exactly the states ``derive_seed`` gives, for any master seed and index.  A
@@ -35,8 +38,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vardiag import (CATALOG_NAMES, McConfig, NotPositiveDefinite, ab_params, approx_pvalue,
-                     catalog, cholesky_lower, derive_key, derive_seed, evaluate_statistics,
-                     fit_var, mc_pvalues, power_study, racf, sample_acov, simulate, size_study)
+                     block_toeplitz, catalog, cholesky_lower, derive_key, derive_seed,
+                     evaluate_statistics, fit_var, mc_pvalues, power_study, racf, sample_acov,
+                     simulate, size_study)
 from vardiag.csvio import CsvTable, read_csv, write_csv
 from vardiag.diagnostics import _assemble_block_toeplitz, _unit_diagonal_cholesky
 from vardiag.montecarlo import _seeded
@@ -151,6 +155,36 @@ def test_gv_factor_route_equals_cholesky_lower(values):
     assert (got is None) == (expect is None)
     if expect is not None:
         assert np.array_equal(got, expect)
+
+
+@st.composite
+def guard_limit_residuals(draw):
+    """A stack of residual series with n_eff 1 to 4 rows above the lag guard for m, and m."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 11))
+    n = (m + 1) * k + draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mix = rng.standard_normal((k, k)) + 2.0 * np.eye(k)
+    return rng.standard_normal((draw(st.integers(1, 3)), n, k)) @ mix, m
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(guard_limit_residuals())
+def test_block_toeplitz_is_the_gram_matrix_of_the_padded_lag_matrix(case):
+    e, m = case
+    batch, n, k = e.shape
+    acov = sample_acov(e, m)
+    t = block_toeplitz(racf(acov, "hosking"), m)
+    # the hosking whitening of each series: rows e_t L, where L L' is the inverse lag-0 covariance
+    w = e @ np.linalg.cholesky(np.linalg.inv(acov.values[0]))
+    # block column c holds w in rows c..c+n-1 and zeros elsewhere
+    z = np.zeros((batch, n + m, (m + 1) * k))
+    for c in range(m + 1):
+        z[:, c:c + n, c * k:(c + 1) * k] = w
+    gram = np.swapaxes(z, -1, -2) @ z / n
+    assert np.abs(t - gram).max() <= 1e-12 * np.abs(gram).max()
+    # so T_m is positive semi-definite for any residuals, and singular only if z loses rank
+    assert np.linalg.eigvalsh(t).min() >= -1e-12
 
 
 @st.composite

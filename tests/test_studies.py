@@ -7,8 +7,8 @@ import pytest
 
 import vardiag.studies as studies
 from vardiag import (
-    DegenerateResiduals, InvalidModel, catalog, derive_seed, evaluate_statistics, fit_var, power_study,
-    simulate, size_study)
+    DegenerateResiduals, InvalidModel, NotPositiveDefinite, ReplicateFailure, catalog, derive_seed,
+    evaluate_statistics, fit_var, power_study, simulate, size_study)
 
 
 class TestSizeStudy:
@@ -87,6 +87,29 @@ class TestSizeStudy:
         payload = json.loads(result.to_json())
         assert payload["kind"] == "size-study"
         assert payload["master_seed"] == 3
+
+    def test_replicate_failure_names_its_trial(self, monkeypatch):
+        import vardiag.montecarlo as mc
+
+        original, stacks = mc._gv_log_steps, []
+
+        def second_stack_fails(rs, m):
+            # a stack has a leading replicate axis; the observed series' gv does not
+            if rs.values[0].ndim > 2:
+                stacks.append(rs)
+                if len(stacks) == 2:
+                    raise NotPositiveDefinite("forced failure")
+            return original(rs, m)
+
+        monkeypatch.setattr(mc, "_gv_log_steps", second_stack_fails)
+        with pytest.raises(ReplicateFailure) as info:
+            size_study(models=("phi1",), ns=(60,), lags=(3,), trials=3, replicates=19,
+                       master_seed=8, method="mc", workers=1)
+        # each trial's 19 replicates are one chunk, so the second stack is trial 1's
+        assert re.fullmatch(r"phi1, n=60, trial 1: replicates 1\.\.19 of master seed \d+ "
+                            r"failed: NotPositiveDefinite: forced failure", str(info.value))
+        assert isinstance(info.value.__cause__, ReplicateFailure)
+        assert isinstance(info.value.__cause__.__cause__, NotPositiveDefinite)
 
 
 class TestPowerStudy:
