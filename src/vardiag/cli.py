@@ -64,6 +64,12 @@ def _check_flag(args, flag: str, value: int, least: int) -> None:
         raise _UsageError(f"vardiag {args.command}: {flag} must be at least {least}, got {value}")
 
 
+def _broken_pool() -> tuple:
+    """``BrokenProcessPool`` once a pooled call has loaded it; the CLI imports no pool itself."""
+    pool = sys.modules.get("concurrent.futures.process")
+    return (pool.BrokenProcessPool,) if pool else ()
+
+
 def _load_model(spec: str) -> VarmaModel:
     if spec in CATALOG_NAMES:
         return catalog(spec)
@@ -310,7 +316,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(err, file=sys.stderr)
         return 1
-    except (VardiagError, OSError, ValueError, KeyError) as err:
+    except (VardiagError, OSError, ValueError, KeyError, *_broken_pool()) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -73,7 +73,6 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     The result is symmetrized exactly so downstream code can rely on it.
     """
     lower = cholesky_lower(a)
-    # a right-hand side of the same shape: numpy < 2 reads an ``(n, n)`` one as a stack of vectors
-    lower_inv = np.linalg.solve(lower, np.broadcast_to(np.eye(lower.shape[-1]), lower.shape))
+    lower_inv = np.linalg.solve(lower, np.eye(lower.shape[-1]))
     inv = _cross(lower_inv, lower_inv)
     return (inv + np.swapaxes(inv, -1, -2)) / 2.0

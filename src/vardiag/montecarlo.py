@@ -32,11 +32,12 @@ draws: a replicate's block-Toeplitz matrix is the Gram matrix of its padded
 lag matrix, so it is PD unless that matrix loses column rank.
 
 At ``workers > 1`` a test's chunks, and the trials of a study, run on one
-process pool that tests and studies share.  A test gives each process one
-task: a contiguous run of its chunks, scored in index order, the runs' sizes
-within one chunk of each other (four chunks on two processes are two runs of
-two).  Study trials keep ``_pool_map``'s batching.  A test of one chunk, such
-as 199 replicates at n = 50, runs in the calling process at any worker count.
+process pool that tests and studies share.  A test's chunks go out in one
+contiguous batch per process, ``ceil(chunks / workers)`` long, and come back
+in index order (four chunks on two or three processes are two batches of
+two).  Study trials keep ``_pool_map``'s default batching.  A test of one
+chunk, such as 199 replicates at n = 50, runs in the calling process at any
+worker count.
 The pool starts at the first call that needs more than one process and lives
 until the process exits, so it helps only a caller that makes repeated pooled
 calls; a one-off call pays its start-up.
@@ -55,6 +56,7 @@ import operator
 import os
 import threading
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -108,9 +110,9 @@ def derive_key(master: int, *words: int) -> int:
     return key
 
 
-def derive_seed(master: int, replicate_index: int, attempt: int = 0) -> np.random.Generator:
-    """Independent generator of one replicate, stable across platforms; replicates use attempt 0."""
-    return np.random.Generator(np.random.PCG64(derive_key(master, replicate_index, attempt)))
+def derive_seed(master: int, replicate_index: int) -> np.random.Generator:
+    """Independent generator of one replicate, stable across platforms."""
+    return np.random.Generator(np.random.PCG64(derive_key(master, replicate_index, 0)))
 
 
 def _hash_steps(const: int, mult: int, count: int) -> np.ndarray:
@@ -166,7 +168,7 @@ class _Words(ISeedSequence):
 
 
 def _seeded(master: int, start: int, stop: int) -> list:
-    """Generators of ``derive_seed(master, i, 0)`` for i in start..stop-1, hashed in one pass."""
+    """Generators of ``derive_seed(master, i)`` for i in start..stop-1, hashed in one pass."""
     words = _seed_words(derive_key(master, np.arange(start, stop, dtype=np.uint64), 0))
     # PCG64 reads each key's words straight from memory, so the rows must be contiguous
     return [np.random.Generator(np.random.PCG64(_Words(w))) for w in np.ascontiguousarray(words.T)]
@@ -360,8 +362,8 @@ def _refit_and_score(plan: _ReplicatePlan, paths: np.ndarray) -> np.ndarray:
     return evaluate_statistics(residuals, plan.statistics, config.lags, config.transform)
 
 
-def _replicate_chunk(plan: _ReplicatePlan, start: int, stop: int) -> np.ndarray:
-    """Replicates start..stop-1, seeded, simulated and scored once, as one stack.
+def _replicate_chunk(plan: _ReplicatePlan, rows: range) -> np.ndarray:
+    """Replicates ``rows``, seeded, simulated and scored once, as one stack.
 
     Returns one ``(rows, statistics, lags)`` array.  A numeric failure of the
     stack raises :class:`ReplicateFailure` from its cause, naming the rows and
@@ -371,10 +373,10 @@ def _replicate_chunk(plan: _ReplicatePlan, start: int, stop: int) -> np.ndarray:
     try:
         return _refit_and_score(plan, innovation_recursion(
             plan.fitted.phi_hat, (), _draw_innovations(
-                plan, _seeded(plan.config.master_seed, start, stop))))
+                plan, _seeded(plan.config.master_seed, rows.start, rows.stop))))
     except VardiagError as err:
         raise ReplicateFailure(
-            f"replicates {start}..{stop - 1} of master seed {plan.config.master_seed} "
+            f"replicates {rows.start}..{rows.stop - 1} of master seed {plan.config.master_seed} "
             f"failed: {type(err).__name__}: {err}") from err
 
 
@@ -421,19 +423,20 @@ def _drop_pool() -> None:
     _POOL = None
 
 
-def _pool_map(fn, tasks, workers: int) -> list:
+def _pool_map(fn, tasks, workers: int, batch: int = 0) -> list:
     """``[fn(t) for t in tasks]``, across at most one process per task when ``workers > 1``.
 
-    Tasks go out one at a time until there are 16 per process, then in about
-    eight batches per process.  The pool outlives the call and serves the next
-    one of the same process count, ``min(workers, len(tasks))``: at
-    ``workers=4`` a test's two runs of chunks take two processes and a study's
-    500 trials four, so each of those calls replaces the other's pool.  Another
-    count shuts it down before a new one forks, so the process never forks while
-    a second pool's manager thread runs.  Pooled calls from several threads take
-    turns.  A broken pool is dropped and its error raised.  The first pooled
-    call imports the pool's modules here, and so registers their exit hooks and
-    ours: ``concurrent.futures`` joins the workers when the interpreter exits.
+    Tasks go out in contiguous batches of ``batch``, one per process for a test.
+    By default, kept for a study's trials of unequal cost, they go out one at a
+    time until there are 16 per process, then in about eight batches per process.
+    The pool outlives the call and serves the next one of the same process count,
+    ``min(workers, len(tasks))``: at ``workers=4`` a test's two chunks take two
+    processes and a study's 500 trials four, so each replaces the other's pool.
+    Another count shuts it down before a new one forks, so the process never
+    forks while a second pool's manager thread runs.  Pooled calls from several
+    threads take turns.  A broken pool is dropped and its error raised.  The
+    first pooled call imports the pool's modules here, and so registers their
+    exit hooks and ours: ``concurrent.futures`` joins the workers at exit.
     """
     global _POOL
     workers = min(workers, len(tasks))
@@ -450,7 +453,8 @@ def _pool_map(fn, tasks, workers: int) -> list:
             _POOL = (workers, ProcessPoolExecutor(workers, initializer=_keep_freed_heap),
                      Finalize(None, _drop_pool, exitpriority=20))
         try:
-            return list(_POOL[1].map(fn, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
+            return list(_POOL[1].map(
+                fn, tasks, chunksize=batch or max(1, len(tasks) // (8 * workers))))
         except BrokenProcessPool:
             _drop_pool()
             raise
@@ -461,23 +465,13 @@ def _chunk_rows(plan: _ReplicatePlan) -> int:
     return max(_CHUNK, 2 * _FACTOR_FLOATS // (_path_steps(plan.fitted) * plan.fitted.k))
 
 
-def _replicate_run(args) -> np.ndarray:
-    """Rows of one process's run of chunks, each scored by ``_replicate_chunk`` in order."""
-    plan, chunks = args
-    return np.concatenate([_replicate_chunk(plan, start, stop) for start, stop in chunks])
-
-
 def _run_replicates(plan: _ReplicatePlan, n_reps: int, workers: int) -> np.ndarray:
     """Statistics of replicates 1..n_reps as one ``(replicates, statistics, lags)`` array."""
     # Chunk boundaries depend on the replicate count and path shape, never on workers.
-    # The runs do depend on workers: one per process, sizes within one chunk, longer first.
     rows = _chunk_rows(plan)
-    chunks = [(start, min(start + rows, n_reps + 1)) for start in range(1, n_reps + 1, rows)]
-    procs = min(workers, len(chunks))
-    size, longer = divmod(len(chunks), procs)
-    cuts = [run * size + min(run, longer) for run in range(procs + 1)]
-    runs = [(plan, chunks[a:b]) for a, b in zip(cuts, cuts[1:])]
-    return np.concatenate(_pool_map(_replicate_run, runs, workers))
+    chunks = [range(start, min(start + rows, n_reps + 1)) for start in range(1, n_reps + 1, rows)]
+    return np.concatenate(_pool_map(partial(_replicate_chunk, plan), chunks, workers,
+                                    batch=math.ceil(len(chunks) / workers)))
 
 
 def _build_plan(fitted: FittedVar, config: McConfig, statistics) -> _ReplicatePlan:

@@ -157,25 +157,23 @@ def check_study_args(models, trials, replicates, workers, lags, ns, master_seed)
 
     ``config`` is the :class:`McConfig` that checks replicates, workers, lags and the seed.
     """
-    if not models or len(set(models)) < len(models):
-        raise ValueError(f"models must be a nonempty list without repeats, got {tuple(models)}")
+    if isinstance(models, str) or not models or len(set(models)) < len(models):
+        raise ValueError(f"models must be a nonempty list of names without repeats, got {models!r}")
     trials = _check_count("trials", trials, 1)
-    checked = tuple(_check_count("sample sizes", n, 1) for n in ns)
-    if len(set(checked)) < len(checked):
-        raise ValueError(f"sample sizes must be distinct, got {tuple(ns)}")
+    checked = tuple(_check_count("sample sizes", n, 1) for n in ns) if np.iterable(ns) else None
+    if checked is None or len(set(checked)) < len(checked):
+        raise ValueError(f"ns must be a list of distinct sample sizes, got {ns!r}")
     return trials, checked, McConfig(replicates=replicates, master_seed=master_seed,
                                      workers=workers, lags=lags)
 
 
-def _run_study(kind, columns, order, *, models, ns, lags, trials, replicates,
-               master_seed, workers) -> StudyResult:
+def _run_study(kind, columns, order, models, trials, ns, config) -> StudyResult:
     """Run every trial of every (model, n) stratum in one pool map, and sum the rejections.
 
+    ``trials``, ``ns`` and ``config`` are as ``check_study_args`` returns them.
     A trial sees its stratum's lags that pass the lag guard; a stratum with no
     such lag runs none.  Every model name and the fit order are checked first.
     """
-    trials, ns, config = check_study_args(models, trials, replicates, workers, lags, ns,
-                                          master_seed)
     order = _check_count("fit_order", order, 0)
     strata = []          # (model, n, usable lags) of the strata that run trials
     tasks, skipped = [], []
@@ -215,15 +213,14 @@ def size_study(models=("phi1", "phi2", "phi3", "phi4"), ns=(100, 200, 500),
     if method not in SIZE_METHODS:
         *others, last = map(repr, SIZE_METHODS)
         raise ValueError(f"method must be {', '.join(others)} or {last}")
+    checked = check_study_args(models, trials, replicates, workers, lags, ns, master_seed)
     for name in models:
         model = catalog(name)
         if (model.p, model.q) != (1, 0):
             # the refitted VAR(1) is the null, so another model would measure power
             raise InvalidModel(f"size-study needs a VAR(1) model; {name} is a "
                                f"VARMA({model.p}, {model.q})")
-    return _run_study("size-study", SIZE_METHODS[method], 1, models=models, ns=ns, lags=lags,
-                      trials=trials, replicates=replicates, master_seed=master_seed,
-                      workers=workers)
+    return _run_study("size-study", SIZE_METHODS[method], 1, models, *checked)
 
 
 def power_study(models=tuple(f"model{i}" for i in range(1, 9)), ns=(50, 100, 200),
@@ -237,6 +234,5 @@ def power_study(models=tuple(f"model{i}" for i in range(1, 9)), ns=(50, 100, 200
     generalized-variance statistic and the modified classical statistic
     against the same replicate set.
     """
-    return _run_study("power-study", _POWER_COLUMNS, fit_order,
-                      models=models, ns=ns, lags=lags, trials=trials,
-                      replicates=replicates, master_seed=master_seed, workers=workers)
+    return _run_study("power-study", _POWER_COLUMNS, fit_order, models, *check_study_args(
+        models, trials, replicates, workers, lags, ns, master_seed))

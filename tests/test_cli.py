@@ -1,6 +1,7 @@
 import functools
 import inspect
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from reference import explosive_series
 
 import vardiag.cli as cli
+import vardiag.montecarlo as mc
 import vardiag.studies as studies
 from vardiag import CsvTable, McConfig, __version__, mc_test, read_csv, write_csv
 from vardiag.cli import main
@@ -16,6 +18,10 @@ from vardiag.cli import main
 
 def run(argv):
     return main(argv)
+
+
+def _exit_worker(*_):
+    os._exit(3)
 
 
 @pytest.fixture
@@ -445,3 +451,26 @@ class TestStudies:
         assert code == 2
         err = capsys.readouterr().err
         assert "usage" not in err and "need n - p > k*p + 1" in err
+
+
+@pytest.mark.parametrize("argv, module, task", [
+    (["test", "--order", "1", "--lags", "3"], mc, "_replicate_chunk"),  # two chunks
+    (["size-study", "--phi", "phi1", "--n", "60", "--lags", "3", "--trials", "2"],
+     studies, "_trial"),
+    (["power-study", "--model", "model5", "--n", "60", "--lags", "3", "--trials", "2"],
+     studies, "_trial"),
+])
+def test_dead_pool_worker_is_data_error(argv, module, task, tmp_path, white_csv,
+                                        capsys, monkeypatch):
+    # a fresh pool forks after the patch, so its workers die in their first task
+    mc._drop_pool()
+    monkeypatch.setattr(module, task, _exit_worker)
+    out = tmp_path / "x.json"
+    if argv[0] == "test":
+        argv = [*argv, "--input", str(white_csv)]
+    assert run([*argv, "--workers", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: A process in the process pool was terminated abruptly")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+    assert mc._POOL is None

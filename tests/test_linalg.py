@@ -92,28 +92,18 @@ class TestStacks:
             assert np.abs(inv - spd_inverse(member)).max() <= 1e-12 * np.abs(inv).max()
         assert (inverse == np.swapaxes(inverse, -1, -2)).all()
 
-    @staticmethod
-    def _solve_numpy1(solve):
-        """``solve`` with numpy < 2 semantics: a ``b`` one axis short is a stack of vectors."""
-        def legacy(a, b):
-            a, b = np.asarray(a), np.asarray(b)
-            if b.ndim == a.ndim - 1:
-                return solve(a, b[..., None])[..., 0]
-            return solve(a, b)
-        return legacy
-
-    # stacks of 1 and of n members broadcast against an (n, n) right-hand side under numpy < 2
-    @pytest.mark.parametrize("numpy1", [False, True])
+    # the (n, n) identity right-hand side broadcasts against a stack of any length or depth
+    @pytest.mark.parametrize("nested", [False, True])
     @pytest.mark.parametrize("members", [1, 2, 3, 32])
-    def test_inverse_of_stack_of_any_length(self, members, numpy1, monkeypatch):
+    def test_inverse_of_stack_of_any_length(self, members, nested):
         rng = np.random.default_rng(members)
         stack = np.stack([random_spd(rng, 3) for _ in range(members)])
         expect = np.stack([np.linalg.inv(member) for member in stack])
-        if numpy1:
-            monkeypatch.setattr(np.linalg, "solve", self._solve_numpy1(np.linalg.solve))
+        if nested:
+            stack = stack[None]  # one more leading axis
         inverse = spd_inverse(stack)
         assert inverse.shape == stack.shape
-        for inv, ref in zip(inverse, expect):
+        for inv, ref in zip(inverse.reshape(expect.shape), expect):
             assert np.abs(inv - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_leading_axes_are_kept(self):

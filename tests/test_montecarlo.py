@@ -107,11 +107,6 @@ class TestDeriveSeed:
         b = derive_seed(42, 2).standard_normal(16)
         assert not np.any(a == b)
 
-    def test_different_attempts_differ(self):
-        a = derive_seed(42, 1, 0).standard_normal(16)
-        b = derive_seed(42, 1, 1).standard_normal(16)
-        assert not np.any(a == b)
-
     def test_key_mixing_is_stable(self):
         # pin the mixing function so reports stay regenerable across releases
         assert derive_key(0) == derive_key(0)
@@ -125,7 +120,7 @@ class TestDeriveSeed:
 
 
 class TestSeededChunks:
-    """A chunk's first attempts, seeded in one pass, are exactly ``derive_seed``'s streams."""
+    """A chunk's replicates, seeded in one pass, are exactly ``derive_seed``'s streams."""
 
     @pytest.mark.parametrize("master", [0, 1, -1, 2**63, 2**64 - 1, 987654321,
                                         0x9E3779B97F4A7C15, -(2**40 + 17)])
@@ -133,7 +128,7 @@ class TestSeededChunks:
     def test_states_match_derive_seed_at_every_width(self, master, start):
         from vardiag.montecarlo import _seeded
 
-        expect = [derive_seed(master, i, 0).bit_generator.state
+        expect = [derive_seed(master, i).bit_generator.state
                   for i in range(start, start + 120)]
         for width in range(1, 121):
             got = [rng.bit_generator.state for rng in _seeded(master, start, start + width)]
@@ -158,7 +153,7 @@ class TestSeededChunks:
         chunk = _draw_innovations(plan, _seeded(plan.config.master_seed, 3, 40))
         assert len(chunk) == 37
         for index, got in zip(range(3, 40), chunk):
-            expect = _draw_innovations(plan, [derive_seed(plan.config.master_seed, index, 0)])[0]
+            expect = _draw_innovations(plan, [derive_seed(plan.config.master_seed, index)])[0]
             assert got.tobytes() == expect.tobytes()
 
     def test_generators_are_independent(self):
@@ -168,14 +163,14 @@ class TestSeededChunks:
         assert len({id(rng) for rng in rngs}) == 3
         rngs[0].standard_normal(5)
         for index in (1, 2):
-            assert rngs[index].bit_generator.state == derive_seed(9, index, 0).bit_generator.state
+            assert rngs[index].bit_generator.state == derive_seed(9, index).bit_generator.state
 
     def test_bounded_integers_start_from_an_empty_buffer(self):
         # an odd count of 32-bit draws leaves half a word buffered in the generator
         from vardiag.montecarlo import _seeded
 
         for index, rng in zip(range(5, 25), _seeded(11, 5, 25)):
-            expect = derive_seed(11, index, 0)
+            expect = derive_seed(11, index)
             assert np.array_equal(rng.integers(0, 7, size=5), expect.integers(0, 7, size=5))
             assert rng.bit_generator.state == expect.bit_generator.state
 
@@ -197,7 +192,7 @@ class TestChunkDraw:
         got = _draw_innovations(plan, _seeded(plan.config.master_seed, 7, 7 + width))
         assert got.shape == (width, steps, k)
         for index, row in zip(range(7, 7 + width), got):
-            rng = derive_seed(plan.config.master_seed, index, 0)
+            rng = derive_seed(plan.config.master_seed, index)
             if innovations == "gaussian":
                 expect = rng.standard_normal((steps, k)) @ plan.innov_chol.T
             else:
@@ -395,7 +390,7 @@ class TestMcTest:
         burn = mc.burn_in_length(1, 0)
         stacked = mc._run_replicates(plan, 39, 1)
         for index in (1, 7, 39):
-            rng = derive_seed(33, index, 0)
+            rng = derive_seed(33, index)
             if innovations == "gaussian":
                 noise = rng.standard_normal((burn + 100, 2)) @ np.linalg.cholesky(
                     fitted.gamma0_hat).T
@@ -499,9 +494,9 @@ def _close_rows(got, expect, rtol=1e-12):
 
 
 def _lone_replicate(plan, index):
-    """Replicate ``index`` alone: one 2-D path from ``derive_seed(master, index, 0)``, scanned,
+    """Replicate ``index`` alone: one 2-D path from ``derive_seed(master, index)``, scanned,
     refitted and scored, so a stack's row is checked against a lone path, not a stack of one."""
-    noise = mc._draw_innovations(plan, [derive_seed(plan.config.master_seed, index, 0)])[0]
+    noise = mc._draw_innovations(plan, [derive_seed(plan.config.master_seed, index)])[0]
     return mc._refit_and_score(plan, mc.innovation_recursion(plan.fitted.phi_hat, (), noise))
 
 
@@ -646,10 +641,10 @@ class TestStackedReplicates:
 
         plan = _phi1_plan(n=n)
         rows = mc._chunk_rows(plan)
-        mc._replicate_chunk(plan, 1, 1 + rows)  # warm numpy's caches first
+        mc._replicate_chunk(plan, range(1, 1 + rows))  # warm numpy's caches first
         tracemalloc.start()
         try:
-            mc._replicate_chunk(plan, 1, 1 + rows)
+            mc._replicate_chunk(plan, range(1, 1 + rows))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -736,7 +731,7 @@ def _faults_of_chunks(n: int) -> list:
     try:
         for start in range(1, 1 + 6 * rows, rows):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            mc._replicate_chunk(plan, start, start + rows)
+            mc._replicate_chunk(plan, range(start, start + rows))
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     finally:
         gc.enable()
@@ -822,24 +817,21 @@ class TestPool:
         mapped = []
 
         class Recording(concurrent.futures.process.ProcessPoolExecutor):
-            def map(self, fn, tasks, **kwargs):
-                mapped.append(list(tasks))
-                return super().map(fn, mapped[-1], **kwargs)
+            def map(self, fn, tasks, chunksize=1, **kwargs):
+                mapped.append((chunksize, list(tasks)))
+                return super().map(fn, mapped[-1][1], chunksize=chunksize, **kwargs)
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
         series = simulate(catalog("phi1"), 500, derive_seed(28, 0))
         config = McConfig(replicates=199, master_seed=29, lags=(2, 5))
         rows = _chunk_width(series)
-        chunks = [(start, min(start + rows, 200)) for start in range(1, 200, rows)]
+        chunks = [range(start, min(start + rows, 200)) for start in range(1, 200, rows)]
         assert len(chunks) == 4
         solo = mc_test(series, 1, config).to_json()
         for workers in (2, 3):
             assert mc_test(series, 1, replace(config, workers=workers)).to_json() == solo
-        assert [len(tasks) for tasks in mapped] == [2, 3]
-        assert [[len(task[1]) for task in tasks] for tasks in mapped] == [[2, 2], [2, 1, 1]]
-        # each run is contiguous, and together they are the chunks in index order
-        for tasks in mapped:
-            assert [chunk for task in tasks for chunk in task[1]] == chunks
+        # both times map forms two work items of two chunks, the chunks in index order
+        assert mapped == [(2, chunks)] * 2
 
     def test_broken_pool_raises_once_then_a_fresh_pool_serves(self, cold_pool):
         with pytest.raises(BrokenProcessPool):

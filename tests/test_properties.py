@@ -5,7 +5,11 @@ series maps the residuals by the same matrix.  The hosking autocorrelations
 then change by an orthogonal similarity, and Q's trace form not at all, so
 gv and Q~ must not move.  A column permutation is one such map.  A shift
 alone changes them only by rounding, and the Monte-Carlo null relies on it:
-it simulates its replicates as deviations from the fitted mean.
+it simulates its replicates as deviations from the fitted mean.  The whole
+Monte-Carlo test inherits that invariance wherever the map carries each
+replicate path along with the series: bootstrap draws under any nonsingular
+map, Gaussian draws under a lower-triangular one with a positive diagonal.
+Its exceedance counts then do not move, whatever the replicate streams.
 
 The simulator's doubling scan solves the same VARMA recursion as the
 time-step loop, so on any stationary model and any stack of paths the two
@@ -19,7 +23,7 @@ Gram matrix Z'Z/n of their hosking-whitened, zero-padded lag matrix Z, so it
 is positive semi-definite, and singular only if Z loses column rank: that is
 why a replicate's gv cannot fail unless its residuals do.
 
-A chunk's first attempts are seeded in one pass; their generators hold
+A chunk's replicates are seeded in one pass; their generators hold
 exactly the states ``derive_seed`` gives, for any master seed and index.  A
 study's report does not depend on its worker count, each of its cells counts
 the rejections of its trials one by one, and a CSV table restores its float64
@@ -33,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -83,6 +88,27 @@ def test_linear_map_and_shift_leave_statistics_unchanged(case):
     mapped = series @ _well_conditioned(rng, k).T + rng.uniform(-10.0, 10.0, k)
     np.testing.assert_allclose(_scores(mapped, p, lags), _scores(series, p, lags),
                                rtol=1e-7, atol=1e-9)
+
+
+@pytest.mark.parametrize("innovations", ["gaussian", "bootstrap"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from(("phi1", "phi3", "model1", "model3")), st.integers(0, 2 ** 32 - 1))
+def test_monte_carlo_counts_are_unchanged_by_an_affine_map(innovations, name, seed):
+    # Bootstrap draws map by any nonsingular A; Gaussian ones by A only if A is lower
+    # triangular with a positive diagonal, since then chol(A S A') = A chol(S).
+    rng = np.random.default_rng(seed)
+    series = simulate(catalog(name), 200, rng)
+    a = _well_conditioned(rng, 2)
+    if innovations == "gaussian":
+        a = np.tril(a, -1) + np.diag(rng.uniform(0.2, 5.0, 2))
+    config = McConfig(master_seed=seed, innovations=innovations, lags=(2, 5, 10))
+    _, observed, _, exceed, nonpd = mc_pvalues(series, 1, config, STATS)
+    _, mapped, _, mapped_exceed, mapped_nonpd = mc_pvalues(
+        series @ a.T + rng.uniform(-10.0, 10.0, 2), 1, config, STATS)
+    np.testing.assert_allclose(mapped, observed, rtol=1e-7)
+    # counts compare exactly: no replicate lies within rounding of its observed statistic
+    assert mapped_exceed.tolist() == exceed.tolist()
+    assert mapped_nonpd.tolist() == nonpd.tolist()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -218,7 +244,7 @@ def test_scan_equals_the_time_step_loop(case):
 @given(st.integers(-(2 ** 63), 2 ** 64 - 1), st.integers(0, 2 ** 48), st.integers(1, 40))
 def test_chunk_seeding_equals_derive_seed(master, start, width):
     for index, rng in zip(range(start, start + width), _seeded(master, start, start + width)):
-        expect = derive_seed(master, index, 0)
+        expect = derive_seed(master, index)
         assert rng.bit_generator.state == expect.bit_generator.state
         assert rng.standard_normal(3).tobytes() == expect.standard_normal(3).tobytes()
 

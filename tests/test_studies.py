@@ -162,6 +162,14 @@ class TestStudyArguments:
             study(**{**dict(models=("phi1",), ns=(60,), lags=(3,), trials=4, replicates=19),
                      name: value})
 
+    @pytest.mark.parametrize("study", [size_study, power_study])
+    @pytest.mark.parametrize("bad, name", [(dict(models="phi1"), "models"),
+                                           (dict(ns=60), "ns")])
+    def test_a_bare_name_or_count_is_refused_by_name(self, study, bad, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a"):
+            study(**{**dict(models=("phi1",), ns=(60,), lags=(3,), trials=4, replicates=19),
+                     **bad})
+
     def test_numpy_integer_counts_pass(self):
         result = power_study(models=("model5",), ns=(np.int64(60),), lags=(np.int64(3),),
                              trials=np.int64(2), replicates=np.int64(19), workers=np.int64(1),
