@@ -199,10 +199,10 @@ def chisq_sf(x: float, df: float) -> float:
     arguments and a continued fraction for large ones, accurate to about
     1e-13 in double precision.
     """
-    if df <= 0.0:
-        raise ValueError("df must be positive")
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
+    if not 0.0 < df < math.inf:
+        raise ValueError(f"df must be positive and finite, got {df}")
+    if not x >= 0.0:
+        raise ValueError(f"x must be nonnegative, got {x}")
     if x == 0.0:
         return 1.0
     if math.isinf(x):

@@ -266,6 +266,8 @@ def margin_of_error(p: float, n_reps: int) -> float:
     """Approximate 95% margin of error of a Monte-Carlo p-value."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if n_reps < 1:
+        raise ValueError("n_reps must be at least 1")
     return 1.96 * math.sqrt(p * (1.0 - p) / n_reps)
 
 
@@ -291,10 +293,10 @@ def evaluate_statistics(residuals, statistics, lags, transform: str = "identity"
     block-Toeplitz correlation matrix is not positive definite.  A stack of
     residual series of shape ``(..., n, k)`` is scored in one pass and gives
     ``(..., statistics, lags)``; there a matrix that is not positive definite
-    raises :class:`NotPositiveDefinite` instead.  A name outside ``STATISTICS``
-    or lags that are not ascending positive integers raise ``ValueError``.
+    raises :class:`NotPositiveDefinite` instead.  No statistic, a name outside
+    ``STATISTICS`` or lags that are not ascending positive integers raise ``ValueError``.
     """
-    if not set(statistics) <= set(STATISTICS):
+    if len(statistics) == 0 or not set(statistics) <= set(STATISTICS):
         raise ValueError(f"statistics must be among {STATISTICS}, got {statistics!r}")
     lags = _check_lags(lags)
     work = residual_transform(residuals, transform)

@@ -203,8 +203,15 @@ class TestQPvalue:
     # equal AR and MA factors cancel, so the AR and MA columns of the design coincide
     (lambda: build_design(VarmaModel(phi=([[0.5]],), theta=([[0.5]],), innov_cov=[[1.0]]), 5),
      SingularDesign, "rank deficient"),
+    # an undefined statistic or df has no tail probability, least of all the most significant one
+    (lambda: chisq_sf(math.nan, 2.0), ValueError, "x must be nonnegative"),
+    (lambda: chisq_sf(3.0, math.nan), ValueError, "df must be positive and finite"),
+    (lambda: chisq_sf(3.0, math.inf), ValueError, "df must be positive and finite"),
+    (lambda: approx_pvalue(math.nan, ab_params(2, 5, 0, 0)), ValueError, "x must be nonnegative"),
+    (lambda: q_pvalue_asymptotic(math.nan, 2, 5, 1, 0), ValueError, "x must be nonnegative"),
 ], ids=["ab-a0", "ab-b-neg", "traces-sum0", "traces-sum_sq-neg", "design-array",
-        "design-cancelling-factors"])
+        "design-cancelling-factors", "chisq-x-nan", "chisq-df-nan", "chisq-df-inf",
+        "approx-nan", "q-nan"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -95,6 +95,11 @@ class TestMarginOfError:
         with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
             margin_of_error(p, 500)
 
+    @pytest.mark.parametrize("n_reps", [0, -3])
+    def test_fewer_than_one_replicate_is_refused(self, n_reps):
+        with pytest.raises(ValueError, match="n_reps must be at least 1"):
+            margin_of_error(0.5, n_reps)
+
 
 class TestDeriveSeed:
     def test_same_inputs_same_stream(self):
@@ -206,7 +211,8 @@ class TestEvaluateStatistics:
         rng = derive_seed(3, 0)
         resid = rng.standard_normal((120, 2))
         lags = (2, 5, 7)
-        out = evaluate_statistics(resid, ("gv", "q_classic", "q_modified"), lags)
+        # the names may come as an array too
+        out = evaluate_statistics(resid, np.array(["gv", "q_classic", "q_modified"]), lags)
         acf = sample_acov(resid, 7)
         rs = racf(acf, "hosking")
         for col, lag in enumerate(lags):
@@ -260,20 +266,23 @@ class TestEvaluateStatistics:
         (("gv",), (-1, 5), "lags must be"),
         (("q_classic",), (5, 3), "lags must be"),
         (("gv",), (), "lags must be"),
+        ((), (5,), "statistics must be among"),
     ])
     def test_refuses_what_it_cannot_score(self, statistics, lags, message):
         resid = derive_seed(5, 0).standard_normal((100, 2))
         with pytest.raises(ValueError, match=message):
             evaluate_statistics(resid, statistics, lags)
 
-    def test_mc_pvalues_refuses_an_unknown_statistic_before_any_replicate(self, monkeypatch):
+    @pytest.mark.parametrize("statistics", [("bogus",), ()])
+    def test_mc_pvalues_refuses_an_unknown_statistic_before_any_replicate(self, monkeypatch,
+                                                                         statistics):
         def no_replicates(*args):
             raise AssertionError("replicates ran before the statistics were checked")
 
         monkeypatch.setattr(mc, "_run_replicates", no_replicates)
         series = simulate(catalog("phi1"), 80, derive_seed(8, 0))
         with pytest.raises(ValueError, match="statistics must be among"):
-            mc_pvalues(series, 1, McConfig(replicates=19, lags=(2,)), statistics=("bogus",))
+            mc_pvalues(series, 1, McConfig(replicates=19, lags=(2,)), statistics=statistics)
 
 
 class TestMcConfig:
