@@ -215,13 +215,14 @@ def chisq_sf(x: float, df: float) -> float:
 
 
 def approx_pvalue(stat: float, ab: AbParams) -> float:
-    """Tail probability of the scaled chi-square approximation."""
-    if math.isinf(stat):
-        return 0.0
-    if stat < 0.0:
-        # Hadamard guarantees nonnegativity up to rounding; clamp tiny noise.
-        stat = 0.0
-    return chisq_sf(stat / ab.a, ab.b)
+    """Tail probability of the scaled chi-square approximation.
+
+    Hadamard's inequality makes gv nonnegative, so a value down to ``-1e-8``
+    is rounding and counts as zero; a lower or NaN one raises ``ValueError``.
+    """
+    if not stat >= -1e-8:
+        raise ValueError(f"x must be nonnegative, got {stat}")
+    return chisq_sf(max(stat, 0.0) / ab.a, ab.b)
 
 
 def q_pvalue_asymptotic(stat: float, k: int, m: int, p: int, q: int) -> float:
@@ -229,6 +230,4 @@ def q_pvalue_asymptotic(stat: float, k: int, m: int, p: int, q: int) -> float:
     df = k * k * (m - p - q)
     if df <= 0:
         raise DegenerateDf(f"need m > p + q (m={m}, p={p}, q={q})")
-    if math.isinf(stat):
-        return 0.0
     return chisq_sf(stat, float(df))

@@ -43,7 +43,9 @@ until the process exits, so it helps only a caller that makes repeated pooled
 calls; a one-off call pays its start-up.
 That first call also imports ``concurrent.futures`` and ``multiprocessing``,
 in ``_pool_map``, with their exit hooks; ``import vardiag`` and one-process
-calls load neither.
+calls load neither.  ``numpy.random`` loads at the first replicate draw, or at
+the first pooled call before the pool forks, so forked workers inherit it;
+``import vardiag``, fitting and scoring never load it.
 On glibc its workers keep the heap they free, so a chunk's arrays are not
 handed back to the kernel and faulted in again by the next chunk.  The
 caller's own process keeps its allocator settings, at any worker count.
@@ -59,7 +61,6 @@ from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from ._version import __version__
 from .diagnostics import (
@@ -158,7 +159,7 @@ def _seed_words(keys: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class _Words(ISeedSequence):
+class _Words:
     """A seed sequence whose state is already drawn: one key's ``_seed_words`` for ``PCG64``."""
 
     words: np.ndarray
@@ -167,9 +168,15 @@ class _Words(ISeedSequence):
         return self.words
 
 
+def _load_random() -> None:
+    """Import ``numpy.random`` and register ``_Words`` as its ``ISeedSequence`` (idempotent)."""
+    np.random.bit_generator.ISeedSequence.register(_Words)
+
+
 def _seeded(master: int, start: int, stop: int) -> list:
     """Generators of ``derive_seed(master, i)`` for i in start..stop-1, hashed in one pass."""
     words = _seed_words(derive_key(master, np.arange(start, stop, dtype=np.uint64), 0))
+    _load_random()
     # PCG64 reads each key's words straight from memory, so the rows must be contiguous
     return [np.random.Generator(np.random.PCG64(_Words(w))) for w in np.ascontiguousarray(words.T)]
 
@@ -438,7 +445,8 @@ def _pool_map(fn, tasks, workers: int, batch: int = 0) -> list:
     forks while a second pool's manager thread runs.  Pooled calls from several
     threads take turns.  A broken pool is dropped and its error raised.  The
     first pooled call imports the pool's modules here, and so registers their
-    exit hooks and ours: ``concurrent.futures`` joins the workers at exit.
+    exit hooks and ours: ``concurrent.futures`` joins the workers at exit.  It
+    loads ``numpy.random`` before any fork, so forked workers need not.
     """
     global _POOL
     workers = min(workers, len(tasks))
@@ -446,6 +454,7 @@ def _pool_map(fn, tasks, workers: int, batch: int = 0) -> list:
         return [fn(task) for task in tasks]
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     from multiprocessing.util import Finalize
+    _load_random()
     with _POOL_LOCK:
         if _POOL is None or _POOL[0] != workers:
             _drop_pool()

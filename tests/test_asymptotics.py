@@ -208,10 +208,15 @@ class TestQPvalue:
     (lambda: chisq_sf(3.0, math.nan), ValueError, "df must be positive and finite"),
     (lambda: chisq_sf(3.0, math.inf), ValueError, "df must be positive and finite"),
     (lambda: approx_pvalue(math.nan, ab_params(2, 5, 0, 0)), ValueError, "x must be nonnegative"),
+    # only rounding makes a gv negative; a clearly negative one is no statistic
+    (lambda: approx_pvalue(-5.0, ab_params(2, 5, 0, 0)), ValueError, "x must be nonnegative"),
+    (lambda: approx_pvalue(-1e300, ab_params(2, 5, 0, 0)), ValueError, "x must be nonnegative"),
+    (lambda: approx_pvalue(-math.inf, ab_params(2, 5, 0, 0)), ValueError, "x must be nonnegative"),
     (lambda: q_pvalue_asymptotic(math.nan, 2, 5, 1, 0), ValueError, "x must be nonnegative"),
+    (lambda: q_pvalue_asymptotic(-math.inf, 2, 5, 1, 0), ValueError, "x must be nonnegative"),
 ], ids=["ab-a0", "ab-b-neg", "traces-sum0", "traces-sum_sq-neg", "design-array",
         "design-cancelling-factors", "chisq-x-nan", "chisq-df-nan", "chisq-df-inf",
-        "approx-nan", "q-nan"])
+        "approx-nan", "approx-neg5", "approx-neg1e300", "approx-neg-inf", "q-nan", "q-neg-inf"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()

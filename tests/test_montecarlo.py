@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__ as _CPU_FEATURES
 from reference import explosive_series, persistent_series
 
 import vardiag
@@ -455,6 +456,30 @@ class TestMcTest:
         assert report.to_json() + "\n" == pinned.read_text()
         assert json.dumps(asdict(report), sort_keys=True, indent=2) == report.to_json()
 
+    @pytest.mark.skipif(not all(_CPU_FEATURES.get(f) for f in ("AVX2", "FMA3")),
+                        reason="OpenBLAS's Haswell kernel needs AVX2 and FMA3")
+    def test_outcomes_do_not_depend_on_the_blas_kernel(self):
+        # Another kernel rounds the observed statistics differently in their last digits
+        # (the byte pin holds on one kernel); the counts and p-values must not move.
+        script = """
+            import json
+            import vardiag as vd
+
+            reports = [vd.mc_test(vd.simulate(vd.catalog(name), 200, vd.derive_seed(seed, 0)), 1,
+                                  vd.McConfig(master_seed=seed, lags=(2, 5, 10, 20)))
+                       for name in ("phi1", "phi3", "model3") for seed in (41, 42)]
+            print(json.dumps([[[lag.exceedances, lag.p_value, lag.observed] for lag in r.lags]
+                              for r in reports]))
+        """
+        outcomes = []
+        for env in ({}, {"OPENBLAS_CORETYPE": "Haswell"}):
+            done = _fresh_interpreter(script, **env)
+            assert done.returncode == 0, done.stderr
+            outcomes.append(np.array(json.loads(done.stdout)))
+        native, haswell = outcomes
+        assert haswell[..., :2].tolist() == native[..., :2].tolist()
+        np.testing.assert_allclose(haswell[..., 2], native[..., 2], rtol=1e-12)
+
     def test_explosive_fit_is_refused(self):
         # the fitted VAR(1) has spectral radius 1.053: no stationary null exists
         with pytest.raises(InvalidModel, match=r"radius 1\.05296"):
@@ -765,9 +790,9 @@ def _alive(pid: int) -> bool:
     return True
 
 
-def _fresh_interpreter(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a new interpreter that imports this vardiag."""
-    env = {**os.environ, "PYTHONPATH": str(Path(vardiag.__file__).parents[1])}
+def _fresh_interpreter(script: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this vardiag, with ``env`` added."""
+    env = {**os.environ, "PYTHONPATH": str(Path(vardiag.__file__).parents[1]), **env}
     return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], capture_output=True,
                           text=True, timeout=120, env=env)
 
@@ -1003,3 +1028,55 @@ def test_import_loads_only_the_monte_carlo_path():
     assert done.stdout.splitlines() == [
         "[]", "[]", "['vardiag.studies', 'vardiag.asymptotics']", "[]",
         "module 'vardiag' has no attribute 'no_such_name'"]
+
+
+def test_numpy_random_loads_at_the_first_draw():
+    done = _fresh_interpreter("""
+        import json
+        import sys
+        import numpy as np
+        import vardiag as vd
+        import vardiag.cli
+
+        def loaded():
+            return "numpy.random" in sys.modules
+
+        steps = [loaded()]
+        # a deterministic series, so that nothing here draws
+        series = np.sin(np.arange(400.0) ** 1.5).reshape(200, 2)
+        fitted = vd.fit_var(series, 1)
+        vd.evaluate_statistics(fitted.residuals, ("gv", "q_modified"), (2, 5))
+        vd.gv_stat(vd.racf(vd.sample_acov(fitted.residuals, 5), "hosking"), 5, fitted.n_eff)
+        steps.append(loaded())
+        vd.mc_test(series, 1, vd.McConfig(replicates=19, master_seed=32, lags=(2,)))
+        steps.append(loaded())
+        print(json.dumps(steps))
+    """)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, False, True]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="only forked workers inherit their parent's modules")
+def test_forked_pool_workers_inherit_numpy_random():
+    done = _fresh_interpreter("""
+        import json
+        import multiprocessing
+        import os
+        import sys
+        import time
+        import vardiag.montecarlo as mc
+
+        def probe(_):
+            loaded = "numpy.random" in sys.modules
+            time.sleep(0.25)  # so that both workers take a task
+            return os.getpid(), loaded
+
+        multiprocessing.set_start_method("fork")
+        before = "numpy.random" in sys.modules
+        reports = mc._pool_map(probe, range(4), 2, batch=1)
+        print(json.dumps([before, len({pid for pid, _ in reports}),
+                          all(loaded for _, loaded in reports)]))
+    """)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, 2, True]

@@ -9,7 +9,9 @@ it simulates its replicates as deviations from the fitted mean.  The whole
 Monte-Carlo test inherits that invariance wherever the map carries each
 replicate path along with the series: bootstrap draws under any nonsingular
 map, Gaussian draws under a lower-triangular one with a positive diagonal.
-Its exceedance counts then do not move, whatever the replicate streams.
+Its exceedance counts then do not move, whatever the replicate streams.  The
+square and abs transforms keep that under a positive diagonal map, which
+carries the transformed residuals by a diagonal too.
 
 The simulator's doubling scan solves the same VARMA recursion as the
 time-step loop, so on any stationary model and any stack of paths the two
@@ -101,10 +103,29 @@ def test_monte_carlo_counts_are_unchanged_by_an_affine_map(innovations, name, se
     a = _well_conditioned(rng, 2)
     if innovations == "gaussian":
         a = np.tril(a, -1) + np.diag(rng.uniform(0.2, 5.0, 2))
-    config = McConfig(master_seed=seed, innovations=innovations, lags=(2, 5, 10))
+    _assert_counts_unchanged(series, series @ a.T + rng.uniform(-10.0, 10.0, 2),
+                             McConfig(master_seed=seed, innovations=innovations, lags=(2, 5, 10)))
+
+
+@pytest.mark.parametrize("transform", ["square", "abs"])
+@pytest.mark.parametrize("innovations", ["gaussian", "bootstrap"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from(("phi1", "phi3", "model1", "model3")), st.integers(0, 2 ** 32 - 1))
+def test_monte_carlo_counts_of_a_transform_are_unchanged_by_a_diagonal_map(
+        transform, innovations, name, seed):
+    # A positive diagonal D maps every residual path by D, its squares by D**2 and its
+    # absolute values by D: the transformed residuals map by a diagonal again.
+    rng = np.random.default_rng(seed)
+    series = simulate(catalog(name), 200, rng)
+    _assert_counts_unchanged(
+        series, series * rng.uniform(0.2, 5.0, 2) + rng.uniform(-10.0, 10.0, 2),
+        McConfig(master_seed=seed, innovations=innovations, transform=transform,
+                 lags=(2, 5, 10)))
+
+
+def _assert_counts_unchanged(series, mapped_series, config):
     _, observed, _, exceed, nonpd = mc_pvalues(series, 1, config, STATS)
-    _, mapped, _, mapped_exceed, mapped_nonpd = mc_pvalues(
-        series @ a.T + rng.uniform(-10.0, 10.0, 2), 1, config, STATS)
+    _, mapped, _, mapped_exceed, mapped_nonpd = mc_pvalues(mapped_series, 1, config, STATS)
     np.testing.assert_allclose(mapped, observed, rtol=1e-7)
     # counts compare exactly: no replicate lies within rounding of its observed statistic
     assert mapped_exceed.tolist() == exceed.tolist()
