@@ -20,13 +20,16 @@ The generalized variance has one route too: ``gv_stat``, ``gv_decompose`` and
 the Monte-Carlo scorer read one Cholesky factor's pivots through ``log1p``.
 That factor skips ``cholesky_lower``'s symmetry and scale checks, which a
 block-Toeplitz matrix with a unit diagonal passes by construction, and keeps
-its pivot floor.
+its pivot floor.  Its block-Toeplitz matrix is a strided view, copied once, of
+one buffer that lays row a of every block of [R_m'..R_1', I, R_1..R_m] side by
+side, so that each row of the matrix is one contiguous run of that buffer.
 
 ``sample_acov``, ``racf``, ``gv_decompose``, ``block_toeplitz`` and
 ``residual_transform`` also accept a stack of residual series of shape
 ``(..., n, k)``; every matrix they return then keeps the stack's leading axes,
 and each series gets the same numbers it would get alone.  A numeric error in
-any series of a stack fails the whole call.
+any series of a stack fails the whole call.  A 1-D residual array is one
+``(n, 1)`` series.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateResiduals, NotPositiveDefinite
+from .estimate import _check_count
 # log_det_spd is not called here; the benchmark tracer still hooks this name
 from .linalg import PIVOT_RTOL, _cross, _diagonal, cholesky_lower, log_det_spd, spd_inverse
 
@@ -119,6 +123,20 @@ class GvDecomposition:
     step_dets: tuple
 
 
+def _check_lag(m, least: int, most: int) -> int:
+    """``m`` as an int; ``ValueError`` unless it is an integer within ``least..most``."""
+    m = _check_count("m", m, -math.inf)
+    if not least <= m <= most:
+        raise ValueError(f"m must be within {least}..{most}, got {m}")
+    return m
+
+
+def _as_columns(residuals) -> np.ndarray:
+    """Residuals as floats; a 1-D series is one ``(n, 1)`` series, a view of it."""
+    resid = np.asarray(residuals, dtype=float)
+    return resid[:, None] if resid.ndim == 1 else resid
+
+
 def _lag_fits(n_eff: int, m: int, k: int) -> bool:
     """The lag guard: lag m needs ``n_eff > (m + 1) * k`` residual rows."""
     return n_eff > (m + 1) * k
@@ -136,11 +154,8 @@ def sample_acov(residuals, m: int) -> Autocovariances:
         ``n_eff > (m + 1) * k``) or their lag-0 covariance is not positive
         definite (zero or constant residuals), in any series of a stack.
     """
-    resid = np.asarray(residuals, dtype=float)
-    if resid.ndim == 1:
-        resid = resid[:, None]
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    resid = _as_columns(residuals)
+    m = _check_count("m", m, 1)
     if not np.isfinite(resid).all():
         raise DegenerateResiduals("residuals contain non-finite values")
     n, k = resid.shape[-2:]
@@ -149,7 +164,9 @@ def sample_acov(residuals, m: int) -> Autocovariances:
             f"need n_eff > (m + 1)*k for lag {m} (n_eff={n}, k={k})")
     gamma = np.empty(resid.shape[:-2] + (m + 1, k, k))
     for lag in range(m + 1):
-        gamma[..., lag, :, :] = _cross(resid[..., lag:, :], resid[..., :n - lag, :]) / n
+        np.matmul(np.swapaxes(resid[..., lag:, :], -1, -2), resid[..., :n - lag, :],
+                  out=gamma[..., lag, :, :])
+    gamma /= n
     acov = Autocovariances(gamma, n)
     try:
         acov._g0_inv
@@ -211,23 +228,26 @@ def portmanteau_q(acf: Autocovariances, m: int, variant: str = "classic") -> flo
     """
     if variant not in Q_VARIANTS:
         raise ValueError(f"variant must be one of {Q_VARIANTS}, got {variant!r}")
-    if not 1 <= m <= acf.max_lag:
-        raise ValueError(f"m must be within 1..{acf.max_lag}, got {m}")
+    m = _check_lag(m, 1, acf.max_lag)
     return float(np.cumsum(_q_weights(acf.n_eff, m, variant) * _q_lag_terms(acf, m))[-1])
 
 
 def _assemble_block_toeplitz(values: np.ndarray) -> np.ndarray:
     """Block-Toeplitz matrices from autocorrelations R_0..R_m of shape ``(..., m + 1, k, k)``."""
     *batch, lags, k, _ = values.shape
-    blocks = np.concatenate([np.swapaxes(values[..., :0:-1, :, :], -1, -2),
-                             np.broadcast_to(np.eye(k), (*batch, 1, k, k)), values[..., 1:, :, :]],
-                            axis=-3)
-    # Block (i, j) is block m + j - i of [R_m'..R_1', I, R_1..R_m].  Flattened, its entry
-    # (a, b) sits at (m - i) k^2 + a k (a row part) plus j k^2 + b (a column part).
-    start = np.arange(lags)[:, None] * k * k
-    row = (start[::-1] + np.arange(k) * k).ravel()
-    col = (start + np.arange(k)).ravel()
-    return np.take(blocks.reshape(*batch, -1), row[:, None] + col, axis=-1)
+    m = lags - 1
+    # Row a of every block of [R_m'..R_1', I, R_1..R_m] side by side.  Block (i, j) of T
+    # is block m + j - i, so row (i, a) of T is the run of (m + 1) k floats from block m - i.
+    rows = np.empty((*batch, k, 2 * m + 1, k))
+    rows[..., :m, :] = np.moveaxis(values[..., :0:-1, :, :], -1, -3)
+    rows[..., m, :] = np.eye(k)
+    rows[..., m + 1:, :] = np.swapaxes(values[..., 1:, :, :], -3, -2)
+    # Block row i steps back k floats from the start of block m; row a's last index,
+    # m k + (m + 1) k - 1, is the last of its row, so the view stays inside the buffer.
+    item = rows.itemsize
+    runs = np.ndarray((*batch, lags, k, lags * k), buffer=rows, offset=m * k * item,
+                      strides=(*rows.strides[:-3], -k * item, (2 * m + 1) * k * item, item))
+    return runs.copy().reshape(*batch, lags * k, lags * k)
 
 
 def block_toeplitz(racfs: Autocorrelations, m: int) -> np.ndarray:
@@ -241,8 +261,7 @@ def block_toeplitz(racfs: Autocorrelations, m: int) -> np.ndarray:
     """
     if racfs.mode != "hosking":
         raise ValueError("block_toeplitz requires hosking-standardized autocorrelations")
-    if m < 0 or m > racfs.max_lag:
-        raise ValueError(f"m must be within 0..{racfs.max_lag}, got {m}")
+    m = _check_lag(m, 0, racfs.max_lag)
     return _assemble_block_toeplitz(racfs._stack[..., :m + 1, :, :])
 
 
@@ -267,17 +286,16 @@ def _gv_log_steps(racfs: Autocorrelations, m: int) -> np.ndarray:
     """
     if racfs.mode != "hosking":
         raise ValueError("gv requires hosking-standardized autocorrelations")
-    if not 1 <= m <= racfs.max_lag:
-        raise ValueError(f"m must be within 1..{racfs.max_lag}, got {m}")
+    m = _check_lag(m, 1, racfs.max_lag)
     values = racfs._stack[..., :m + 1, :, :]
     rows = values.reshape(-1, *values.shape[-3:])
     step = max(1, _FACTOR_FLOATS // ((m + 1) * racfs.k) ** 2)
-    row_sums = []
+    row_sums = np.empty((rows.shape[0], (m + 1) * racfs.k))
     for start in range(0, rows.shape[0], step):
         factor = _unit_diagonal_cholesky(_assemble_block_toeplitz(rows[start:start + step]))
         np.einsum("...ii->...i", factor)[...] = 0.0
-        row_sums.append(np.einsum("...ij,...ij->...i", factor, factor))
-    log_pivots_sq = np.log1p(-np.concatenate(row_sums)).reshape(*values.shape[:-1])
+        np.einsum("...ij,...ij->...i", factor, factor, out=row_sums[start:start + step])
+    log_pivots_sq = np.log1p(-row_sums).reshape(*values.shape[:-1])
     return log_pivots_sq.sum(axis=-1)[..., 1:]
 
 
@@ -291,6 +309,7 @@ def gv_stat(racfs: Autocorrelations, m: int, n_eff: int) -> float:
     """
     if racfs.values[0].ndim > 2:
         raise ValueError("gv_stat scores one series; gv_decompose takes a stack")
+    n_eff = _check_count("n_eff", n_eff, 1)
     try:
         return -n_eff * float(np.cumsum(_gv_log_steps(racfs, m))[-1])
     except NotPositiveDefinite:
@@ -318,7 +337,7 @@ def residual_transform(residuals, kind: str = "identity") -> np.ndarray:
     Squared or absolute residuals have nonzero means, which would corrupt the
     autocovariances, so both transforms subtract the column means; the
     identity transform returns the input unchanged.  A stack of shape
-    ``(..., n, k)`` is centered series by series.
+    ``(..., n, k)`` is centered series by series; a 1-D series stays 1-D.
     """
     if kind not in TRANSFORMS:
         raise ValueError(f"kind must be one of {TRANSFORMS}, got {kind!r}")
@@ -326,11 +345,12 @@ def residual_transform(residuals, kind: str = "identity") -> np.ndarray:
     if kind == "identity":
         return resid
     work = resid ** 2 if kind == "square" else np.abs(resid)
-    if work.shape[-1] == 1:  # one column: numpy sums each series' rows pairwise
-        work -= work.mean(axis=-2, keepdims=True)
+    cols = _as_columns(work)  # centered in place, so a 1-D series keeps its shape
+    if cols.shape[-1] == 1:  # one column: numpy sums each series' rows pairwise
+        cols -= cols.mean(axis=-2, keepdims=True)
         return work
     # Otherwise numpy adds each series' rows in order, one (series, column) pair at a
     # time; with the rows leading a contiguous copy, it adds a whole row per step.
-    rows = np.ascontiguousarray(np.moveaxis(work, -2, 0))
-    work -= rows.mean(axis=0)[..., None, :]
+    rows = np.ascontiguousarray(np.moveaxis(cols, -2, 0))
+    cols -= rows.mean(axis=0)[..., None, :]
     return work

@@ -264,6 +264,8 @@ class TestReport:
 
 def p_hat(exceedances, n_reps: int):
     """Add-one Monte-Carlo p-value estimate of an exceedance count, or of an array of them."""
+    if n_reps < 1:
+        raise ValueError("n_reps must be at least 1")
     if np.any((exceedances < 0) | (exceedances > n_reps)):
         raise ValueError("exceedances must lie in 0..n_reps")
     return (exceedances + 1) / (n_reps + 1)
@@ -300,17 +302,17 @@ def evaluate_statistics(residuals, statistics, lags, transform: str = "identity"
     block-Toeplitz correlation matrix is not positive definite.  A stack of
     residual series of shape ``(..., n, k)`` is scored in one pass and gives
     ``(..., statistics, lags)``; there a matrix that is not positive definite
-    raises :class:`NotPositiveDefinite` instead.  No statistic, a name outside
-    ``STATISTICS`` or lags that are not ascending positive integers raise ``ValueError``.
+    raises :class:`NotPositiveDefinite` instead.  A 1-D array is one ``(n, 1)`` series.
+    No statistic, a name outside ``STATISTICS`` or lags that are not ascending
+    positive integers raise ``ValueError``.
     """
     if len(statistics) == 0 or not set(statistics) <= set(STATISTICS):
         raise ValueError(f"statistics must be among {STATISTICS}, got {statistics!r}")
     lags = _check_lags(lags)
-    work = residual_transform(residuals, transform)
-    n_eff = work.shape[-2]
     max_lag = max(lags)
-    acf = sample_acov(work, max_lag)
-    out = np.empty(work.shape[:-2] + (len(statistics), len(lags)))
+    acf = sample_acov(residual_transform(residuals, transform), max_lag)
+    n_eff = acf.n_eff
+    out = np.empty(acf.values[0].shape[:-2] + (len(statistics), len(lags)))
     q_terms = None
     for row, stat in enumerate(statistics):
         if stat == "gv":

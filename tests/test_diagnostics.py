@@ -10,6 +10,7 @@ from vardiag import (
     DegenerateResiduals,
     NotPositiveDefinite,
     block_toeplitz,
+    evaluate_statistics,
     gv_decompose,
     gv_stat,
     portmanteau_q,
@@ -19,7 +20,7 @@ from vardiag import (
 )
 from vardiag.diagnostics import _unit_diagonal_cholesky
 from vardiag.linalg import cholesky_lower, log_det_spd, spd_inverse
-from vardiag.montecarlo import _gv_row
+from vardiag.montecarlo import STATISTICS, _gv_row
 
 
 def colored_residuals(rng, n, k):
@@ -419,9 +420,26 @@ class TestResidualTransform:
             out = residual_transform(resid, kind)
             assert np.abs(out.mean(axis=0)).max() < 1e-14
 
+    @pytest.mark.parametrize("kind", ["identity", "square", "abs"])
+    def test_a_1d_series_is_one_column(self, kind):
+        e = np.random.default_rng(21).standard_normal(60)
+        out = residual_transform(e, kind)
+        assert out.shape == e.shape
+        assert np.array_equal(out, residual_transform(e[:, None], kind)[:, 0])
+        got = evaluate_statistics(e, STATISTICS, (1, 2, 5), kind)
+        assert np.array_equal(got, evaluate_statistics(e[:, None], STATISTICS, (1, 2, 5), kind))
+
 
 def _acov():
     return sample_acov(np.random.default_rng(20).standard_normal((80, 2)), 3)
+
+
+def test_a_bool_lag_counts_as_one():
+    acov = _acov()
+    rs = racf(acov, "hosking")
+    assert portmanteau_q(acov, True) == portmanteau_q(acov, 1)
+    assert gv_stat(rs, True, 80) == gv_stat(rs, 1, 80)
+    assert np.array_equal(block_toeplitz(rs, True), block_toeplitz(rs, 1))
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -435,8 +453,18 @@ def _acov():
     (lambda: gv_stat(racf(_acov(), "li_mcleod"), 2, 80), ValueError, "gv requires hosking"),
     (lambda: gv_decompose(racf(_acov(), "chitturi"), 2), ValueError, "gv requires hosking"),
     (lambda: residual_transform(np.ones((5, 2)), "log"), ValueError, "kind must be one of"),
+    (lambda: gv_stat(racf(_acov(), "hosking"), 2, -5), ValueError, "n_eff must be at least 1"),
+    (lambda: gv_stat(racf(_acov(), "hosking"), 2, 0), ValueError, "n_eff must be at least 1"),
+    (lambda: gv_stat(racf(_acov(), "hosking"), 2, 80.0), ValueError, "n_eff must be an integer"),
+    (lambda: sample_acov(np.ones((80, 2)), 2.0), ValueError, "m must be an integer"),
+    (lambda: portmanteau_q(_acov(), 2.0), ValueError, "m must be an integer"),
+    (lambda: gv_stat(racf(_acov(), "hosking"), 2.0, 80), ValueError, "m must be an integer"),
+    (lambda: gv_decompose(racf(_acov(), "hosking"), 2.0), ValueError, "m must be an integer"),
+    (lambda: block_toeplitz(racf(_acov(), "hosking"), 1.5), ValueError, "m must be an integer"),
 ], ids=["acov-m0", "acov-nan", "q-variant", "q-m0", "q-m4", "toeplitz-m-1", "toeplitz-m4",
-        "gv-li_mcleod", "decompose-chitturi", "transform-kind"])
+        "gv-li_mcleod", "decompose-chitturi", "transform-kind", "gv-n_eff-neg5", "gv-n_eff0",
+        "gv-n_eff-float", "acov-m-float", "q-m-float", "gv-m-float", "decompose-m-float",
+        "toeplitz-m-float"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()

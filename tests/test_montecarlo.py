@@ -74,6 +74,11 @@ class TestPHat:
         with pytest.raises(ValueError):
             p_hat(5, 4)
 
+    @pytest.mark.parametrize("n_reps", [0, -3])
+    def test_fewer_than_one_replicate_is_refused(self, n_reps):
+        with pytest.raises(ValueError, match="n_reps must be at least 1"):
+            p_hat(0, n_reps)
+
     def test_array_of_counts(self):
         counts = np.array([[0, 49, 999], [3, 500, 998]])
         assert np.array_equal(p_hat(counts, 999), (counts + 1) / 1000)

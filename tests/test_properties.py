@@ -17,7 +17,9 @@ The simulator's doubling scan solves the same VARMA recursion as the
 time-step loop, so on any stationary model and any stack of paths the two
 agree to rounding.
 
-The generalized variance factors its block-Toeplitz stacks without
+The block-Toeplitz assembly gives exactly the matrix that ``np.block``
+builds from the lag matrices, for any batch shape and any strides.  The
+generalized variance factors its block-Toeplitz stacks without
 ``cholesky_lower``'s general-input checks.  Those matrices are exactly
 symmetric with a unit diagonal, so the short route gives the same factor and
 refuses the same stacks.  The block-Toeplitz matrix of any residuals is the
@@ -202,6 +204,35 @@ def test_gv_factor_route_equals_cholesky_lower(values):
     assert (got is None) == (expect is None)
     if expect is not None:
         assert np.array_equal(got, expect)
+
+
+@st.composite
+def lag_stacks(draw):
+    """Lag matrices R_0..R_m of any batch shape, often a non-contiguous slice of a longer stack."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 10))
+    batch = draw(st.sampled_from(((), (3,), (2, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    longer = rng.standard_normal((*batch, m + 1 + draw(st.integers(0, 3)), k, k))
+    return longer[..., :m + 1, :, :]
+
+
+def _block_reference(values):
+    """The block-Toeplitz matrix of one series' R_0..R_m, built block by block."""
+    m, k = values.shape[0] - 1, values.shape[-1]
+    def block(lag):
+        return np.eye(k) if lag == 0 else values[lag] if lag > 0 else values[-lag].T
+    return np.block([[block(j - i) for j in range(m + 1)] for i in range(m + 1)])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(lag_stacks())
+def test_block_toeplitz_assembly_equals_the_block_construction(values):
+    t = _assemble_block_toeplitz(values)
+    *batch, lags, k, _ = values.shape
+    assert t.shape == (*batch, lags * k, lags * k)
+    for index in np.ndindex(*batch):
+        assert np.array_equal(t[index], _block_reference(values[index]))
 
 
 @st.composite
