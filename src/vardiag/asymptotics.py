@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDf, NotPositiveDefinite, SingularDesign
-from .estimate import FittedVar
+from .estimate import FittedVar, _check_count
 from .linalg import spd_inverse
 from .varma import VarmaModel, inverse_ma_weights, ma_weights
 
@@ -127,12 +127,18 @@ def lambda_traces(design: DesignSet) -> TraceSums:
     return TraceSums(float(np.trace(core)), float(np.trace(core @ core)))
 
 
+def _check_orders(*orders) -> tuple:
+    """``(k, m, p, q)`` as ints; ``ValueError`` naming the first that is not an integer >= 0."""
+    return tuple(_check_count(name, value, 0) for name, value in zip("kmpq", orders))
+
+
 def ab_params(k: int, m: int, p: int, q: int) -> AbParams:
     """Closed-form scale and degrees of freedom of the approximation.
 
     One degree of freedom is subtracted for each estimated coefficient;
     raises :class:`DegenerateDf` when that leaves nothing.
     """
+    k, m, p, q = _check_orders(k, m, p, q)
     a = (2.0 * m + 1.0) / 3.0
     b = 3.0 * k * k * m * (m + 1.0) / (2.0 * (2.0 * m + 1.0)) - k * k * (p + q)
     if b <= 0.0:
@@ -227,6 +233,7 @@ def approx_pvalue(stat: float, ab: AbParams) -> float:
 
 def q_pvalue_asymptotic(stat: float, k: int, m: int, p: int, q: int) -> float:
     """Asymptotic chi-square p-value of the classical portmanteau statistic."""
+    k, m, p, q = _check_orders(k, m, p, q)
     df = k * k * (m - p - q)
     if df <= 0:
         raise DegenerateDf(f"need m > p + q (m={m}, p={p}, q={q})")

@@ -16,6 +16,7 @@ The classical portmanteau statistic is computed once, from the trace of
 G_l' G_0^{-1} G_l G_0^{-1} at each lag.  It equals the quadratic form in the
 row-stacked autocorrelation matrices under every mode; the test suite keeps
 that Kronecker form as its reference and checks the equality numerically.
+``portmanteau_q`` and the Monte-Carlo scorer weight and sum them in ``_q_values``.
 The generalized variance has one route too: ``gv_stat``, ``gv_decompose`` and
 the Monte-Carlo scorer read one Cholesky factor's pivots through ``log1p``.
 That factor skips ``cholesky_lower``'s symmetry and scale checks, which a
@@ -27,9 +28,9 @@ side, so that each row of the matrix is one contiguous run of that buffer.
 ``sample_acov``, ``racf``, ``gv_decompose``, ``block_toeplitz`` and
 ``residual_transform`` also accept a stack of residual series of shape
 ``(..., n, k)``; every matrix they return then keeps the stack's leading axes,
-and each series gets the same numbers it would get alone.  A numeric error in
-any series of a stack fails the whole call.  A 1-D residual array is one
-``(n, 1)`` series.
+and each series gets the same numbers it would get alone; ``portmanteau_q``
+and ``gv_stat`` refuse a stack.  A numeric error in any series of a stack
+fails the whole call.  A 1-D residual array is one ``(n, 1)`` series.
 """
 
 from __future__ import annotations
@@ -203,11 +204,12 @@ def _q_lag_terms(acf: Autocovariances, m: int) -> np.ndarray:
     return np.trace(_cross(g, g0_inv) @ g @ g0_inv, axis1=-2, axis2=-1)
 
 
-def _q_weights(n: int, m: int, variant: str) -> np.ndarray:
-    """Per-lag weights of Q at lags 1..m: n (classic) or n^2 / (n - l) (modified)."""
-    if variant == "classic":
-        return np.full(m, float(n))
-    return n * n / (n - np.arange(1, m + 1, dtype=float))
+def _q_values(terms: np.ndarray, n: int, variant: str) -> np.ndarray:
+    """Q at lags 1..m from lag terms ``(..., m)``: running sums of the terms weighted by
+    n (classic) or n^2 / (n - l) (modified)."""
+    lags = np.arange(1, terms.shape[-1] + 1, dtype=float)
+    weights = float(n) if variant == "classic" else n * n / (n - lags)
+    return np.cumsum(weights * terms, axis=-1)
 
 
 def portmanteau_q(acf: Autocovariances, m: int, variant: str = "classic") -> float:
@@ -228,8 +230,10 @@ def portmanteau_q(acf: Autocovariances, m: int, variant: str = "classic") -> flo
     """
     if variant not in Q_VARIANTS:
         raise ValueError(f"variant must be one of {Q_VARIANTS}, got {variant!r}")
+    if acf.values[0].ndim > 2:
+        raise ValueError("portmanteau_q scores one series; evaluate_statistics takes a stack")
     m = _check_lag(m, 1, acf.max_lag)
-    return float(np.cumsum(_q_weights(acf.n_eff, m, variant) * _q_lag_terms(acf, m))[-1])
+    return float(_q_values(_q_lag_terms(acf, m), acf.n_eff, variant)[-1])
 
 
 def _assemble_block_toeplitz(values: np.ndarray) -> np.ndarray:
@@ -342,6 +346,8 @@ def residual_transform(residuals, kind: str = "identity") -> np.ndarray:
     if kind not in TRANSFORMS:
         raise ValueError(f"kind must be one of {TRANSFORMS}, got {kind!r}")
     resid = np.asarray(residuals, dtype=float)
+    if resid.ndim == 0:
+        raise ValueError("residuals must be a 1-D series or an (..., n, k) stack, got a scalar")
     if kind == "identity":
         return resid
     work = resid ** 2 if kind == "square" else np.abs(resid)

@@ -125,12 +125,10 @@ def fit_var(series, p: int, with_intercept: bool = True) -> FittedVar:
 
 
 def implied_mean(fit: FittedVar) -> np.ndarray:
-    """Stationary mean implied by the fitted intercept and AR coefficients."""
-    if not fit.with_intercept:
-        return np.zeros(fit.k)
-    if fit.order == 0:
+    """Stationary mean implied by the intercept and AR coefficients; one per stacked series."""
+    if not fit.with_intercept or fit.order == 0:
         return fit.intercept.copy()
     total = np.eye(fit.k)
     for mat in fit.phi_hat:
         total = total - mat
-    return np.linalg.solve(total, fit.intercept)
+    return np.linalg.solve(total, fit.intercept[..., None])[..., 0]

@@ -4,9 +4,10 @@ All routines operate on plain float64 numpy arrays.  Problem sizes here are
 at most a few hundred rows, so everything is dense and unstructured.
 ``cholesky_lower`` and ``spd_inverse`` also accept a stack of matrices of
 shape ``(..., n, n)``; every check applies to each matrix on its own, and the
-stack is refused as a whole if any member fails.  ``cholesky_lower`` refuses
-non-finite input; the gv factor in ``diagnostics`` skips only the checks that
-its block-Toeplitz construction makes true.
+stack is refused as a whole if any member fails; ``log_det_spd`` refuses a
+stack.  ``cholesky_lower`` refuses non-finite input; the gv factor in
+``diagnostics`` skips only the checks that its block-Toeplitz construction
+makes true.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
 
 def log_det_spd(a: np.ndarray) -> float:
     """Log-determinant of a symmetric positive definite matrix via Cholesky."""
+    if np.ndim(a) > 2:
+        raise ValueError("log_det_spd takes one matrix; cholesky_lower takes a stack")
     lower = cholesky_lower(a)
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
 

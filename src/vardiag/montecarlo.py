@@ -72,7 +72,7 @@ from .diagnostics import (
     residual_transform,
     sample_acov,
     _q_lag_terms,
-    _q_weights,
+    _q_values,
 )
 from .errors import (
     InvalidModel,
@@ -264,19 +264,18 @@ class TestReport:
 
 def p_hat(exceedances, n_reps: int):
     """Add-one Monte-Carlo p-value estimate of an exceedance count, or of an array of them."""
-    if n_reps < 1:
-        raise ValueError("n_reps must be at least 1")
-    if np.any((exceedances < 0) | (exceedances > n_reps)):
-        raise ValueError("exceedances must lie in 0..n_reps")
-    return (exceedances + 1) / (n_reps + 1)
+    n_reps = _check_count("n_reps", n_reps, 1)
+    counts = np.asarray(exceedances)
+    if counts.dtype.kind not in "biu" or np.any((counts < 0) | (counts > n_reps)):
+        raise ValueError(f"exceedances must be integers in 0..n_reps, got {exceedances!r}")
+    return (counts + 1) / (n_reps + 1)
 
 
 def margin_of_error(p: float, n_reps: int) -> float:
     """Approximate 95% margin of error of a Monte-Carlo p-value."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if n_reps < 1:
-        raise ValueError("n_reps must be at least 1")
+    n_reps = _check_count("n_reps", n_reps, 1)
     return 1.96 * math.sqrt(p * (1.0 - p) / n_reps)
 
 
@@ -320,8 +319,8 @@ def evaluate_statistics(residuals, statistics, lags, transform: str = "identity"
         else:
             if q_terms is None:
                 q_terms = _q_lag_terms(acf, max_lag)
-            weights = _q_weights(n_eff, max_lag, stat.removeprefix("q_"))
-            out[..., row, :] = np.cumsum(weights * q_terms, axis=-1)[..., np.asarray(lags) - 1]
+            q_values = _q_values(q_terms, n_eff, stat.removeprefix("q_"))
+            out[..., row, :] = q_values[..., np.asarray(lags) - 1]
     return out
 
 

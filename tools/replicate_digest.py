@@ -10,6 +10,11 @@ worker count.  The digest covers, at workers 1, 2 and 3:
 - the ``mc_test`` JSON report of each of those cases under each statistic;
 - the JSON report of an 8-trial power study (model3, n = 50, lags 2 and 5).
 
+A last line, ``public sha256=``, covers the public one-series routes on the
+same three fits, once, since no worker count reaches them: ``portmanteau_q``
+(both variants), ``gv_stat`` and ``gv_decompose`` at lags 1..10, then
+``log_det_spd`` of ``gamma0_hat`` and ``implied_mean``.
+
 It imports the package from the ``src/`` beside it, never an installed copy::
 
     python3 tools/replicate_digest.py
@@ -26,20 +31,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from vardiag import McConfig, catalog, fit_var, mc_test, power_study, simulate  # noqa: E402
+from vardiag import (McConfig, catalog, fit_var, gv_decompose, gv_stat, implied_mean,  # noqa: E402
+                     log_det_spd, mc_test, portmanteau_q, power_study, racf, sample_acov,
+                     simulate)
+from vardiag.diagnostics import Q_VARIANTS  # noqa: E402
 from vardiag.montecarlo import STATISTICS, _build_plan, _run_replicates  # noqa: E402
 
 WORKERS = (1, 2, 3)
 SIZES = (50, 200, 500)
 INNOVATIONS = ("gaussian", "bootstrap")
 LAGS = (2, 5, 10)
+PUBLIC_LAGS = range(1, 11)
+
+
+def fits():
+    """The phi1 series at each size, with its VAR(1) fit."""
+    for n in SIZES:
+        series = simulate(catalog("phi1"), n, np.random.default_rng(n))
+        yield n, series, fit_var(series, 1)
 
 
 def digest(workers: int) -> str:
     sha = hashlib.sha256()
-    for n in SIZES:
-        series = simulate(catalog("phi1"), n, np.random.default_rng(n))
-        fitted = fit_var(series, 1)
+    for n, series, fitted in fits():
         for seed, innovations in enumerate(INNOVATIONS, start=n):
             config = McConfig(master_seed=seed, innovations=innovations, lags=LAGS,
                               workers=workers)
@@ -54,10 +68,25 @@ def digest(workers: int) -> str:
     return sha.hexdigest()
 
 
+def public_digest() -> str:
+    sha = hashlib.sha256()
+    for _, _, fitted in fits():
+        acf = sample_acov(fitted.residuals, max(PUBLIC_LAGS))
+        rs = racf(acf, "hosking")
+        for m in PUBLIC_LAGS:
+            parts = gv_decompose(rs, m)
+            values = [portmanteau_q(acf, m, variant) for variant in Q_VARIANTS]
+            values += [gv_stat(rs, m, acf.n_eff), *parts.eta_sq, *parts.step_dets]
+            sha.update(np.array(values).tobytes())
+        sha.update(np.array([log_det_spd(fitted.gamma0_hat), *implied_mean(fitted)]).tobytes())
+    return sha.hexdigest()
+
+
 def main() -> int:
     digests = {workers: digest(workers) for workers in WORKERS}
     for workers, value in digests.items():
         print(f"workers={workers} sha256={value}")
+    print(f"public sha256={public_digest()}")
     return 0 if len(set(digests.values())) == 1 else 1
 
 
