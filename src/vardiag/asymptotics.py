@@ -59,8 +59,9 @@ class AbParams:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise DegenerateDf(f"scale and df must be positive, got a={self.a}, b={self.b}")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise DegenerateDf(
+                f"scale and df must be positive and finite, got a={self.a}, b={self.b}")
 
 
 def _as_model(model) -> VarmaModel:
@@ -90,6 +91,7 @@ def build_design(model, m: int) -> DesignSet:
     """
     spec = _as_model(model)
     k, p, q = spec.k, spec.p, spec.q
+    m = _check_count("m", m, 0)
     if m <= p + q:
         raise DegenerateDf(f"need m > p + q (m={m}, p={p}, q={q})")
     kk = k * k

@@ -133,8 +133,13 @@ def _check_lag(m, least: int, most: int) -> int:
 
 
 def _as_columns(residuals) -> np.ndarray:
-    """Residuals as floats; a 1-D series is one ``(n, 1)`` series, a view of it."""
+    """Residuals as floats; a 1-D series is one ``(n, 1)`` series, a view of it.
+
+    A scalar raises ``ValueError``.
+    """
     resid = np.asarray(residuals, dtype=float)
+    if resid.ndim == 0:
+        raise ValueError("residuals must be a 1-D series or an (..., n, k) stack, got a scalar")
     return resid[:, None] if resid.ndim == 1 else resid
 
 
@@ -346,12 +351,10 @@ def residual_transform(residuals, kind: str = "identity") -> np.ndarray:
     if kind not in TRANSFORMS:
         raise ValueError(f"kind must be one of {TRANSFORMS}, got {kind!r}")
     resid = np.asarray(residuals, dtype=float)
-    if resid.ndim == 0:
-        raise ValueError("residuals must be a 1-D series or an (..., n, k) stack, got a scalar")
+    work = resid if kind == "identity" else resid ** 2 if kind == "square" else np.abs(resid)
+    cols = _as_columns(work)  # a view: centered in place, so a 1-D series keeps its shape
     if kind == "identity":
-        return resid
-    work = resid ** 2 if kind == "square" else np.abs(resid)
-    cols = _as_columns(work)  # centered in place, so a 1-D series keeps its shape
+        return work
     if cols.shape[-1] == 1:  # one column: numpy sums each series' rows pairwise
         cols -= cols.mean(axis=-2, keepdims=True)
         return work

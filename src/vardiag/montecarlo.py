@@ -31,13 +31,12 @@ the cause.  Under a stationary fit it has probability zero with Gaussian
 draws: a replicate's block-Toeplitz matrix is the Gram matrix of its padded
 lag matrix, so it is PD unless that matrix loses column rank.
 
-At ``workers > 1`` a test's chunks, and the trials of a study, run on one
-process pool that tests and studies share.  A test's chunks go out in one
-contiguous batch per process, ``ceil(chunks / workers)`` long, and come back
-in index order (four chunks on two or three processes are two batches of
-two).  Study trials keep ``_pool_map``'s default batching.  A test of one
-chunk, such as 199 replicates at n = 50, runs in the calling process at any
-worker count.
+At ``workers > 1`` a test's chunks, and the trials of a study stratum, run
+on one process pool that tests and studies share.  Every pooled map hands
+each process one contiguous batch of its tasks, ``ceil(tasks / processes)``
+long, and returns the results in task order (four chunks on two or three
+processes are two batches of two).  A test of one chunk, such as 199
+replicates at n = 50, runs in the calling process at any worker count.
 The pool starts at the first call that needs more than one process and lives
 until the process exits, so it helps only a caller that makes repeated pooled
 calls; a one-off call pays its start-up.
@@ -433,15 +432,13 @@ def _drop_pool() -> None:
     _POOL = None
 
 
-def _pool_map(fn, tasks, workers: int, batch: int = 0) -> list:
+def _pool_map(fn, tasks, workers: int) -> list:
     """``[fn(t) for t in tasks]``, across at most one process per task when ``workers > 1``.
 
-    Tasks go out in contiguous batches of ``batch``, one per process for a test.
-    By default, kept for a study's trials of unequal cost, they go out one at a
-    time until there are 16 per process, then in about eight batches per process.
+    The tasks go out in one contiguous batch per process, in task order.
     The pool outlives the call and serves the next one of the same process count,
     ``min(workers, len(tasks))``: at ``workers=4`` a test's two chunks take two
-    processes and a study's 500 trials four, so each replaces the other's pool.
+    processes and a study stratum's 500 trials four, so each replaces the other's pool.
     Another count shuts it down before a new one forks, so the process never
     forks while a second pool's manager thread runs.  Pooled calls from several
     threads take turns.  A broken pool is dropped and its error raised.  The
@@ -465,8 +462,7 @@ def _pool_map(fn, tasks, workers: int, batch: int = 0) -> list:
             _POOL = (workers, ProcessPoolExecutor(workers, initializer=_keep_freed_heap),
                      Finalize(None, _drop_pool, exitpriority=20))
         try:
-            return list(_POOL[1].map(
-                fn, tasks, chunksize=batch or max(1, len(tasks) // (8 * workers))))
+            return list(_POOL[1].map(fn, tasks, chunksize=math.ceil(len(tasks) / workers)))
         except BrokenProcessPool:
             _drop_pool()
             raise
@@ -482,8 +478,7 @@ def _run_replicates(plan: _ReplicatePlan, n_reps: int, workers: int) -> np.ndarr
     # Chunk boundaries depend on the replicate count and path shape, never on workers.
     rows = _chunk_rows(plan)
     chunks = [range(start, min(start + rows, n_reps + 1)) for start in range(1, n_reps + 1, rows)]
-    return np.concatenate(_pool_map(partial(_replicate_chunk, plan), chunks, workers,
-                                    batch=math.ceil(len(chunks) / workers)))
+    return np.concatenate(_pool_map(partial(_replicate_chunk, plan), chunks, workers))
 
 
 def _build_plan(fitted: FittedVar, config: McConfig, statistics) -> _ReplicatePlan:

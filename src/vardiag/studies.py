@@ -15,7 +15,6 @@ needs hours of CPU.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -168,31 +167,27 @@ def check_study_args(models, trials, replicates, workers, lags, ns, master_seed)
 
 
 def _run_study(kind, columns, order, models, trials, ns, config) -> StudyResult:
-    """Run every trial of every (model, n) stratum in one pool map, and sum the rejections.
+    """Run each (model, n) stratum's trials in one pool map, and sum its rejections.
 
     ``trials``, ``ns`` and ``config`` are as ``check_study_args`` returns them.
     A trial sees its stratum's lags that pass the lag guard; a stratum with no
     such lag runs none.  Every model name and the fit order are checked first.
     """
     order = _check_count("fit_order", order, 0)
-    strata = []          # (model, n, usable lags) of the strata that run trials
-    tasks, skipped = [], []
-    for name in models:
-        k = catalog(name).k
+    ks = [catalog(name).k for name in models]
+    cells, skipped = [], []
+    for name, k in zip(models, ks):
         for n in ns:
             usable = tuple(lag for lag in config.lags if _lag_fits(n - order, lag, k))
             skipped.extend((name, n, lag) for lag in config.lags if lag not in usable)
-            if usable:
-                strata.append((name, n, usable))
-                tasks.extend((name, n, trial, config.master_seed, usable, config.replicates,
-                              columns, order) for trial in range(trials))
-    results = iter(_pool_map(_trial, tasks, config.workers))
-    cells = []
-    for model, n, usable in strata:
-        counts = sum(islice(results, trials))
-        cells.extend(StudyCell(model, n, lag, column, int(counts[row, col]), trials)
-                     for col, lag in enumerate(usable) for row, column in enumerate(columns)
-                     if column != "chi2" or lag > order)
+            if not usable:
+                continue
+            counts = sum(_pool_map(_trial, [(name, n, trial, config.master_seed, usable,
+                                              config.replicates, columns, order)
+                                             for trial in range(trials)], config.workers))
+            cells.extend(StudyCell(name, n, lag, column, int(counts[row, col]), trials)
+                         for col, lag in enumerate(usable) for row, column in enumerate(columns)
+                         if column != "chi2" or lag > order)
     return StudyResult(kind, tuple(models), ns, config.lags, trials, config.replicates,
                        config.master_seed, NOMINAL_LEVEL, tuple(columns), tuple(cells),
                        tuple(skipped))

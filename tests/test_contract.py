@@ -3,9 +3,11 @@
 Each row names a public function, gives its arguments and the expected
 outcome: a value, or an exception class with a fragment of its message.
 Counts and lags are integers (a bool counts as 0 or 1), probabilities lie in
-[0, 1] and are not NaN, and a series is 1-D or ``(..., n, k)``.  The one-series
-statistics refuse a stack; ``implied_mean`` takes a stacked fit and gives each
-member its own result bit for bit.
+[0, 1] and are not NaN, the approximation's scale and df are positive and
+finite, and a series is 1-D or ``(..., n, k)``.  The one-series statistics
+refuse a stack; ``implied_mean`` takes a stacked fit and gives each member its
+own result bit for bit.  A row whose arguments cannot be built without the
+error under test gives a function that builds them.
 """
 
 import math
@@ -61,6 +63,25 @@ ROWS = [
                  (ValueError, "m must be an integer"), id="q_pvalue_asymptotic-float-lag"),
     pytest.param("q_pvalue_asymptotic", (5.0, -2, 5, 1, 0),
                  (ValueError, "k must be at least 0"), id="q_pvalue_asymptotic-negative-k"),
+    pytest.param("build_design", (vd.catalog("phi1"), 2.5), (ValueError, "m must be an integer"),
+                 id="build_design-float-lag"),
+    pytest.param("build_design", (vd.catalog("phi1"), 3.0), (ValueError, "m must be an integer"),
+                 id="build_design-integral-float-lag"),
+    pytest.param("build_design", (vd.catalog("phi1"), 1), (vd.DegenerateDf, "need m > p"),
+                 id="build_design-lag-at-order"),
+    # the approximation's scale and df are positive and finite
+    pytest.param("AbParams", (math.nan, 2.0), (vd.DegenerateDf, "positive and finite"),
+                 id="AbParams-nan-scale"),
+    pytest.param("AbParams", (math.inf, 2.0), (vd.DegenerateDf, "positive and finite"),
+                 id="AbParams-infinite-scale"),
+    pytest.param("AbParams", (2.0, math.nan), (vd.DegenerateDf, "positive and finite"),
+                 id="AbParams-nan-df"),
+    pytest.param("AbParams", (2.0, math.inf), (vd.DegenerateDf, "positive and finite"),
+                 id="AbParams-infinite-df"),
+    pytest.param("ab_params_from_traces", (vd.TraceSums(math.nan, 1.0),),
+                 (vd.DegenerateDf, "positive and finite"), id="ab_params_from_traces-nan"),
+    pytest.param("approx_pvalue", lambda: (3.0, vd.AbParams(math.nan, 2.0)),
+                 (vd.DegenerateDf, "positive and finite"), id="approx_pvalue-nan-scale"),
     # a scalar is no series, whatever the transform
     pytest.param("residual_transform", (np.float64(1.0), "square"),
                  (ValueError, "residuals must be a 1-D series"),
@@ -68,6 +89,8 @@ ROWS = [
     pytest.param("residual_transform", (np.float64(1.0), "identity"),
                  (ValueError, "residuals must be a 1-D series"),
                  id="residual_transform-scalar-identity"),
+    pytest.param("sample_acov", (np.float64(1.0), 1),
+                 (ValueError, "residuals must be a 1-D series"), id="sample_acov-scalar"),
 ]
 ROWS += [_implied_mean_row(order, with_intercept)
          for order in (0, 1, 2) for with_intercept in (True, False)]
@@ -79,7 +102,7 @@ def test_public_contract(name, args, expected):
     if isinstance(expected, tuple):
         error, fragment = expected
         with pytest.raises(error, match=fragment):
-            call(*args)
+            call(*(args() if callable(args) else args))
     else:
         got = call(*args)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()

@@ -752,6 +752,19 @@ def _recorded_pools(monkeypatch, method=None) -> list:
     return events
 
 
+def _recorded_maps(monkeypatch) -> list:
+    """Patch the executor class to log the ``(chunksize, tasks)`` of each map."""
+    mapped = []
+
+    class Recording(concurrent.futures.process.ProcessPoolExecutor):
+        def map(self, fn, tasks, chunksize=1, **kwargs):
+            mapped.append((chunksize, list(tasks)))
+            return super().map(fn, mapped[-1][1], chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
+    return mapped
+
+
 def _faults_of_chunks(n: int) -> list:
     """Minor page faults of each of four replicate chunks at length ``n``, after two warm ones.
 
@@ -836,31 +849,17 @@ class TestPool:
         assert hooks() == []
 
     def test_batch_size_follows_the_task_count(self, cold_pool, monkeypatch):
-        sizes = []
-
-        class Recording(concurrent.futures.process.ProcessPoolExecutor):
-            def map(self, fn, *iterables, chunksize=1, **kwargs):
-                sizes.append(chunksize)
-                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
-        # 32 trials on 2 processes go in batches of 2; a test's 2 runs, of one
+        mapped = _recorded_maps(monkeypatch)
+        # 32 trials on 2 processes go in batches of 16; a test's 2 runs, of one
         # replicate chunk each, go one at a time
         vardiag.power_study(models=("model5",), ns=(60,), lags=(3,), trials=32,
                             replicates=19, workers=2)
         series = simulate(catalog("phi1"), 200, derive_seed(22, 0))
         mc_test(series, 1, McConfig(replicates=199, lags=(2,), workers=2))
-        assert sizes == [2, 1]
+        assert [size for size, _ in mapped] == [16, 1]
 
     def test_a_test_maps_one_run_of_chunks_per_process(self, cold_pool, monkeypatch):
-        mapped = []
-
-        class Recording(concurrent.futures.process.ProcessPoolExecutor):
-            def map(self, fn, tasks, chunksize=1, **kwargs):
-                mapped.append((chunksize, list(tasks)))
-                return super().map(fn, mapped[-1][1], chunksize=chunksize, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
+        mapped = _recorded_maps(monkeypatch)
         series = simulate(catalog("phi1"), 500, derive_seed(28, 0))
         config = McConfig(replicates=199, master_seed=29, lags=(2, 5))
         rows = _chunk_width(series)
@@ -871,6 +870,19 @@ class TestPool:
             assert mc_test(series, 1, replace(config, workers=workers)).to_json() == solo
         # both times map forms two work items of two chunks, the chunks in index order
         assert mapped == [(2, chunks)] * 2
+
+    def test_a_study_maps_each_stratum_by_itself(self, cold_pool, monkeypatch):
+        mapped = _recorded_maps(monkeypatch)
+        # the size-study pin: n = 14 refuses lag 8, and 8 trials on 3 processes are 3 + 3 + 2
+        result = vardiag.size_study(models=("phi1", "phi2"), ns=(14, 60), lags=(1, 3, 8),
+                                    trials=8, replicates=19, master_seed=9, method="both",
+                                    workers=3)
+        strata = [(name, n, lags) for name in ("phi1", "phi2")
+                  for n, lags in ((14, (1, 3)), (60, (1, 3, 8)))]
+        assert mapped == [(3, [(name, n, trial, 9, lags, 19, ("chi2", "mc"), 1)
+                               for trial in range(8)]) for name, n, lags in strata]
+        pinned = Path(__file__).parent / "data" / "size_study.json"
+        assert result.to_json() + "\n" == pinned.read_text()
 
     def test_broken_pool_raises_once_then_a_fresh_pool_serves(self, cold_pool):
         with pytest.raises(BrokenProcessPool):
@@ -1074,12 +1086,12 @@ def test_forked_pool_workers_inherit_numpy_random():
 
         def probe(_):
             loaded = "numpy.random" in sys.modules
-            time.sleep(0.25)  # so that both workers take a task
+            time.sleep(0.25)  # so that both workers take a batch
             return os.getpid(), loaded
 
         multiprocessing.set_start_method("fork")
         before = "numpy.random" in sys.modules
-        reports = mc._pool_map(probe, range(4), 2, batch=1)
+        reports = mc._pool_map(probe, range(4), 2)
         print(json.dumps([before, len({pid for pid, _ in reports}),
                           all(loaded for _, loaded in reports)]))
     """)

@@ -1,4 +1,4 @@
-"""Print one SHA-256 of the Monte-Carlo outputs per worker count; exit 1 if they differ.
+"""Print SHA-256s of the Monte-Carlo outputs per worker count; exit 1 if they differ.
 
 A change that should move no output bit must leave the digest as it was at
 its parent commit, and the determinism contract makes it the same at every
@@ -9,6 +9,11 @@ worker count.  The digest covers, at workers 1, 2 and 3:
   Gaussian and with bootstrap innovations;
 - the ``mc_test`` JSON report of each of those cases under each statistic;
 - the JSON report of an 8-trial power study (model3, n = 50, lags 2 and 5).
+
+A ``study workers=W sha256=`` line per worker count covers the JSON report
+of the size-study pin: phi1 and phi2 at n = 14 and 60, lags 1, 3 and 8,
+``method="both"``, 8 trials.  The guard refuses lag 8 at n = 14, and at 3
+workers each stratum's 8 trials go out in uneven batches of 3, 3 and 2.
 
 A last line, ``public sha256=``, covers the public one-series routes on the
 same three fits, once, since no worker count reaches them: ``portmanteau_q``
@@ -33,7 +38,7 @@ import numpy as np  # noqa: E402
 
 from vardiag import (McConfig, catalog, fit_var, gv_decompose, gv_stat, implied_mean,  # noqa: E402
                      log_det_spd, mc_test, portmanteau_q, power_study, racf, sample_acov,
-                     simulate)
+                     simulate, size_study)
 from vardiag.diagnostics import Q_VARIANTS  # noqa: E402
 from vardiag.montecarlo import STATISTICS, _build_plan, _run_replicates  # noqa: E402
 
@@ -68,6 +73,12 @@ def digest(workers: int) -> str:
     return sha.hexdigest()
 
 
+def study_digest(workers: int) -> str:
+    study = size_study(models=("phi1", "phi2"), ns=(14, 60), lags=(1, 3, 8), trials=8,
+                       replicates=19, master_seed=9, method="both", workers=workers)
+    return hashlib.sha256(study.to_json().encode()).hexdigest()
+
+
 def public_digest() -> str:
     sha = hashlib.sha256()
     for _, _, fitted in fits():
@@ -86,8 +97,11 @@ def main() -> int:
     digests = {workers: digest(workers) for workers in WORKERS}
     for workers, value in digests.items():
         print(f"workers={workers} sha256={value}")
+    studies = {workers: study_digest(workers) for workers in WORKERS}
+    for workers, value in studies.items():
+        print(f"study workers={workers} sha256={value}")
     print(f"public sha256={public_digest()}")
-    return 0 if len(set(digests.values())) == 1 else 1
+    return 0 if len(set(digests.values())) == len(set(studies.values())) == 1 else 1
 
 
 if __name__ == "__main__":
