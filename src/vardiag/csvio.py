@@ -32,6 +32,8 @@ def read_csv(path) -> CsvTable:
         except StopIteration:
             raise EmptyData(f"{path}: file is empty") from None
         header = tuple(name.strip() for name in header)
+        if not any(header):
+            raise ParseError(f"{path}: row 1: the header row has no column names")
         width = len(header)
         rows = []
         for line_no, row in enumerate(reader, start=2):

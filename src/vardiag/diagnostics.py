@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateResiduals, NotPositiveDefinite
-from .estimate import _check_count
+from .estimate import _as_columns, _check_count
 # log_det_spd is not called here; the benchmark tracer still hooks this name
 from .linalg import PIVOT_RTOL, _cross, _diagonal, cholesky_lower, log_det_spd, spd_inverse
 
@@ -132,17 +132,6 @@ def _check_lag(m, least: int, most: int) -> int:
     return m
 
 
-def _as_columns(residuals) -> np.ndarray:
-    """Residuals as floats; a 1-D series is one ``(n, 1)`` series, a view of it.
-
-    A scalar raises ``ValueError``.
-    """
-    resid = np.asarray(residuals, dtype=float)
-    if resid.ndim == 0:
-        raise ValueError("residuals must be a 1-D series or an (..., n, k) stack, got a scalar")
-    return resid[:, None] if resid.ndim == 1 else resid
-
-
 def _lag_fits(n_eff: int, m: int, k: int) -> bool:
     """The lag guard: lag m needs ``n_eff > (m + 1) * k`` residual rows."""
     return n_eff > (m + 1) * k
@@ -160,7 +149,7 @@ def sample_acov(residuals, m: int) -> Autocovariances:
         ``n_eff > (m + 1) * k``) or their lag-0 covariance is not positive
         definite (zero or constant residuals), in any series of a stack.
     """
-    resid = _as_columns(residuals)
+    resid = _as_columns(residuals, "residuals")
     m = _check_count("m", m, 1)
     if not np.isfinite(resid).all():
         raise DegenerateResiduals("residuals contain non-finite values")
@@ -352,7 +341,7 @@ def residual_transform(residuals, kind: str = "identity") -> np.ndarray:
         raise ValueError(f"kind must be one of {TRANSFORMS}, got {kind!r}")
     resid = np.asarray(residuals, dtype=float)
     work = resid if kind == "identity" else resid ** 2 if kind == "square" else np.abs(resid)
-    cols = _as_columns(work)  # a view: centered in place, so a 1-D series keeps its shape
+    cols = _as_columns(work, "residuals")  # a view, centered in place: work keeps its shape
     if kind == "identity":
         return work
     if cols.shape[-1] == 1:  # one column: numpy sums each series' rows pairwise

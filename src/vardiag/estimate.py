@@ -51,16 +51,16 @@ def _check_count(name: str, value, least: int) -> int:
     return value
 
 
-def _as_series(series) -> np.ndarray:
-    values = np.asarray(series, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    if values.ndim < 2 or values.shape[-2] < 1:
-        raise ValueError(f"series must be an (n, k) array or a stack of them, "
-                         f"got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise ValueError("series contains non-finite values")
-    return values
+def _as_columns(values, name: str) -> np.ndarray:
+    """``values`` as floats, a 1-D series as one ``(n, 1)`` view; ``ValueError`` naming
+    ``name`` for a scalar or a series with no rows or no columns."""
+    values = np.asarray(values, dtype=float)
+    columns = values[:, None] if values.ndim == 1 else values
+    if columns.ndim < 2 or 0 in columns.shape[-2:]:
+        raise ValueError(f"{name} must be a 1-D series or an (..., n, k) stack; each series "
+                         f"must be an array of at least one row and one column, got shape "
+                         f"{values.shape}")
+    return columns
 
 
 def fit_var(series, p: int, with_intercept: bool = True) -> FittedVar:
@@ -87,7 +87,9 @@ def fit_var(series, p: int, with_intercept: bool = True) -> FittedVar:
     SingularDesign
         When the regressor Gram matrix is not positive definite.
     """
-    values = _as_series(series)
+    values = _as_columns(series, "series")
+    if not np.isfinite(values).all():
+        raise ValueError("series contains non-finite values")
     n, k = values.shape[-2:]
     p = _check_count("order", p, 0)
     if n - p <= k * p + 1:

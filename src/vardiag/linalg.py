@@ -21,8 +21,8 @@ PIVOT_RTOL = 1e-12
 
 
 def _require_square(a: np.ndarray) -> None:
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not a.shape[-1]:
+        raise DimensionMismatch(f"a must be square, with at least one row, got shape {a.shape}")
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
@@ -47,11 +47,10 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     _require_square(a)
     if not np.isfinite(a).all():
         raise NotPositiveDefinite("matrix has non-finite entries")
-    if a.size:
-        scale = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
-        # a - a' is antisymmetric, so its largest entry is its largest magnitude
-        if ((a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1)) > 1e-10 * scale).any():
-            raise ValueError("matrix is not symmetric")
+    scale = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
+    # a - a' is antisymmetric, so its largest entry is its largest magnitude
+    if ((a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1)) > 1e-10 * scale).any():
+        raise ValueError("matrix is not symmetric")
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:

@@ -103,10 +103,15 @@ def _splitmix64(state: int) -> int:
 
 
 def derive_key(master: int, *words: int) -> int:
-    """Fixed 64-bit mixing of a master seed with integer context words."""
-    key = _splitmix64(operator.index(master) & _MASK64)
+    """Fixed 64-bit mixing of a master seed with integer words; an integer array of words
+    gives one key per entry.  Anything else raises ``ValueError`` naming the master or word."""
+    key = _splitmix64(_check_count("master", master, -math.inf) & _MASK64)
     for word in words:
-        key = _splitmix64(key ^ _splitmix64(word & _MASK64))
+        if isinstance(word, np.ndarray) and word.ndim and word.dtype.kind in "iu":
+            word = word.astype(np.uint64)
+        else:
+            word = _check_count("word", word, -math.inf) & _MASK64
+        key = _splitmix64(key ^ _splitmix64(word))
     return key
 
 

@@ -15,6 +15,7 @@ needs hours of CPU.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -118,19 +119,19 @@ class StudyResult:
         return "\n".join(lines)
 
 
-def _trial(args) -> np.ndarray:
+def _trial(name, model, n, lags, columns, order, study, trial) -> np.ndarray:
     """One trial's rejections at the nominal level: a row per column, a column per lag.
 
+    ``model`` is catalog model ``name``; ``study`` gives the replicates and master seed.
     The Monte-Carlo columns are scored against one replicate set; ``chi2``
     refers the observed gv to its scaled chi-square approximation.
     """
-    name, n, trial, master_seed, lags, replicates, columns, order = args
-    model = catalog(name)
-    words = (master_seed, CATALOG_NAMES.index(name), n, trial)
+    words = (study.master_seed, CATALOG_NAMES.index(name), n, trial)
     series = simulate(model, n, derive_seed(derive_key(*words), 0))
     statistics = tuple(_MC_STATISTIC[column] for column in columns if column != "chi2")
     if statistics:
-        config = McConfig(replicates=replicates, master_seed=derive_key(*words, 1), lags=lags)
+        config = McConfig(replicates=study.replicates, master_seed=derive_key(*words, 1),
+                          lags=lags)
         try:
             _, observed, pvals, _, _ = mc_pvalues(series, order, config, statistics=statistics)
         except ReplicateFailure as err:  # the test's seed is a hash, so name the trial
@@ -159,9 +160,10 @@ def check_study_args(models, trials, replicates, workers, lags, ns, master_seed)
     if isinstance(models, str) or not models or len(set(models)) < len(models):
         raise ValueError(f"models must be a nonempty list of names without repeats, got {models!r}")
     trials = _check_count("trials", trials, 1)
-    checked = tuple(_check_count("sample sizes", n, 1) for n in ns) if np.iterable(ns) else None
-    if checked is None or len(set(checked)) < len(checked):
-        raise ValueError(f"ns must be a list of distinct sample sizes, got {ns!r}")
+    iterable = np.iterable(ns) and not isinstance(ns, str)
+    checked = tuple(_check_count("sample sizes", n, 1) for n in ns) if iterable else ()
+    if not checked or len(set(checked)) < len(checked):
+        raise ValueError(f"ns must be a nonempty list of distinct sample sizes, got {ns!r}")
     return trials, checked, McConfig(replicates=replicates, master_seed=master_seed,
                                      workers=workers, lags=lags)
 
@@ -174,17 +176,15 @@ def _run_study(kind, columns, order, models, trials, ns, config) -> StudyResult:
     such lag runs none.  Every model name and the fit order are checked first.
     """
     order = _check_count("fit_order", order, 0)
-    ks = [catalog(name).k for name in models]
     cells, skipped = [], []
-    for name, k in zip(models, ks):
+    for name, model in [(name, catalog(name)) for name in models]:
         for n in ns:
-            usable = tuple(lag for lag in config.lags if _lag_fits(n - order, lag, k))
+            usable = tuple(lag for lag in config.lags if _lag_fits(n - order, lag, model.k))
             skipped.extend((name, n, lag) for lag in config.lags if lag not in usable)
             if not usable:
                 continue
-            counts = sum(_pool_map(_trial, [(name, n, trial, config.master_seed, usable,
-                                              config.replicates, columns, order)
-                                             for trial in range(trials)], config.workers))
+            stratum = partial(_trial, name, model, n, usable, columns, order, config)
+            counts = sum(_pool_map(stratum, range(trials), config.workers))
             cells.extend(StudyCell(name, n, lag, column, int(counts[row, col]), trials)
                          for col, lag in enumerate(usable) for row, column in enumerate(columns)
                          if column != "chi2" or lag > order)

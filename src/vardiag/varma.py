@@ -76,8 +76,8 @@ class VarmaModel:
         if self.innov_cov is None:
             raise DimensionMismatch("innov_cov is required")
         innov_cov = _floats("innov_cov", self.innov_cov, "a square matrix of numbers")
-        if innov_cov.ndim != 2 or innov_cov.shape[0] != innov_cov.shape[1]:
-            raise DimensionMismatch("innov_cov must be square")
+        if innov_cov.ndim != 2 or innov_cov.shape[0] != innov_cov.shape[1] or not innov_cov.size:
+            raise DimensionMismatch("innov_cov must be square, with at least one row")
         k = innov_cov.shape[0]
         phi, theta = _matrices("phi", self.phi, k), _matrices("theta", self.theta, k)
         mean = np.zeros(k) if self.mean is None else _floats("mean", self.mean, f"{k} numbers")

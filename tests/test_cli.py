@@ -165,6 +165,14 @@ class TestTest:
         assert code == 2
         assert "row 3" in capsys.readouterr().err
 
+    def test_input_without_columns_is_data_error(self, tmp_path, capsys):
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n" * 11)
+        code = run(["test", "--input", str(blank), "--order", "1", "--lags", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {blank}: row 1: the header row has no column names\n")
+
     def test_explosive_fit_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "explosive.csv"
         write_csv(path, CsvTable(("z1", "z2"), explosive_series()))

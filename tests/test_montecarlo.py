@@ -752,13 +752,18 @@ def _recorded_pools(monkeypatch, method=None) -> list:
     return events
 
 
-def _recorded_maps(monkeypatch) -> list:
-    """Patch the executor class to log the ``(chunksize, tasks)`` of each map."""
+def _recorded_maps(monkeypatch, functions=None) -> list:
+    """Patch the executor class to log the ``(chunksize, tasks)`` of each map.
+
+    Each map's function is appended to ``functions`` when it is a list.
+    """
     mapped = []
 
     class Recording(concurrent.futures.process.ProcessPoolExecutor):
         def map(self, fn, tasks, chunksize=1, **kwargs):
             mapped.append((chunksize, list(tasks)))
+            if functions is not None:
+                functions.append(fn)
             return super().map(fn, mapped[-1][1], chunksize=chunksize, **kwargs)
 
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
@@ -872,15 +877,17 @@ class TestPool:
         assert mapped == [(2, chunks)] * 2
 
     def test_a_study_maps_each_stratum_by_itself(self, cold_pool, monkeypatch):
-        mapped = _recorded_maps(monkeypatch)
+        functions = []
+        mapped = _recorded_maps(monkeypatch, functions)
         # the size-study pin: n = 14 refuses lag 8, and 8 trials on 3 processes are 3 + 3 + 2
         result = vardiag.size_study(models=("phi1", "phi2"), ns=(14, 60), lags=(1, 3, 8),
                                     trials=8, replicates=19, master_seed=9, method="both",
                                     workers=3)
         strata = [(name, n, lags) for name in ("phi1", "phi2")
                   for n, lags in ((14, (1, 3)), (60, (1, 3, 8)))]
-        assert mapped == [(3, [(name, n, trial, 9, lags, 19, ("chi2", "mc"), 1)
-                               for trial in range(8)]) for name, n, lags in strata]
+        # each stratum maps its trial indices; the stratum rides on the mapped function
+        assert mapped == [(3, list(range(8)))] * 4
+        assert [(f.args[0], f.args[2], f.args[3]) for f in functions] == strata
         pinned = Path(__file__).parent / "data" / "size_study.json"
         assert result.to_json() + "\n" == pinned.read_text()
 

@@ -18,7 +18,10 @@ workers each stratum's 8 trials go out in uneven batches of 3, 3 and 2.
 A last line, ``public sha256=``, covers the public one-series routes on the
 same three fits, once, since no worker count reaches them: ``portmanteau_q``
 (both variants), ``gv_stat`` and ``gv_decompose`` at lags 1..10, then
-``log_det_spd`` of ``gamma0_hat`` and ``implied_mean``.
+``log_det_spd`` of ``gamma0_hat`` and ``implied_mean``.  It also covers the
+1-D route on each series' first column: its VAR(1) fit by ``fit_var``, and
+``residual_transform`` of the column under each transform, with the
+``sample_acov`` of each at lags 0..10.
 
 It imports the package from the ``src/`` beside it, never an installed copy::
 
@@ -37,9 +40,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from vardiag import (McConfig, catalog, fit_var, gv_decompose, gv_stat, implied_mean,  # noqa: E402
-                     log_det_spd, mc_test, portmanteau_q, power_study, racf, sample_acov,
-                     simulate, size_study)
-from vardiag.diagnostics import Q_VARIANTS  # noqa: E402
+                     log_det_spd, mc_test, portmanteau_q, power_study, racf,
+                     residual_transform, sample_acov, simulate, size_study)
+from vardiag.diagnostics import Q_VARIANTS, TRANSFORMS  # noqa: E402
 from vardiag.montecarlo import STATISTICS, _build_plan, _run_replicates  # noqa: E402
 
 WORKERS = (1, 2, 3)
@@ -81,7 +84,15 @@ def study_digest(workers: int) -> str:
 
 def public_digest() -> str:
     sha = hashlib.sha256()
-    for _, _, fitted in fits():
+    for _, series, fitted in fits():
+        column = series[:, 0]
+        flat = fit_var(column, 1)
+        for array in (flat.residuals, *flat.phi_hat, flat.intercept, flat.gamma0_hat):
+            sha.update(array.tobytes())
+        for kind in TRANSFORMS:
+            transformed = residual_transform(column, kind)
+            sha.update(transformed.tobytes())
+            sha.update(np.stack(sample_acov(transformed, max(PUBLIC_LAGS)).values).tobytes())
         acf = sample_acov(fitted.residuals, max(PUBLIC_LAGS))
         rs = racf(acf, "hosking")
         for m in PUBLIC_LAGS:
